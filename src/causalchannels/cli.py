@@ -19,6 +19,8 @@ from . import constructions
 from .causality import is_causal
 from .channels import Channel, CircuitChannel, compile_circuit
 from .membership import (
+    FEASIBILITY_TOL,
+    MAX_ITERATIONS,
     almost_quantum_assemblage_membership,
     almost_quantum_correlation_membership,
     lhs_membership,
@@ -72,7 +74,9 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="causalchannels", description=__doc__)
     parser.add_argument("--tol", type=float, default=None, help="override tolerance")
-    parser.add_argument("--max-iter", type=int, default=20000, help="solver iteration cap")
+    parser.add_argument(
+        "--max-iter", type=int, default=MAX_ITERATIONS, help="solver iteration cap"
+    )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command")
 
@@ -409,6 +413,18 @@ def _cmd_demo(args, as_json: bool) -> int:
     return EXIT_OK
 
 
+def _tolerance(flag: float | None) -> float:
+    """``--tol``, else ``WORKBENCH_TOL``, else the library default; must be > 0."""
+    env = os.environ.get("WORKBENCH_TOL")
+    try:
+        tol = flag if flag is not None else float(env) if env else FEASIBILITY_TOL
+    except ValueError:
+        raise UsageError(f"WORKBENCH_TOL={env!r} is not a number") from None
+    if not tol > 0:  # also rejects nan
+        raise UsageError(f"tolerance must be positive, got {tol}")
+    return tol
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -421,12 +437,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
 
-    tol = args.tol
-    if tol is None:
-        env = os.environ.get("WORKBENCH_TOL")
-        tol = float(env) if env else 1e-7
-
     try:
+        tol = _tolerance(args.tol)
+        if args.max_iter < 1:
+            raise UsageError(f"--max-iter must be at least 1, got {args.max_iter}")
         if args.command == "construct":
             return _cmd_construct(args)
         if args.command == "verify-causal":

@@ -319,4 +319,4 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    return (m + m.conj().T) / 2
+    return (m + m.conj().swapaxes(-1, -2)) / 2

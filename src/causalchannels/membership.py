@@ -4,7 +4,10 @@ Local-hidden-variable membership is a linear program over deterministic
 strategies, solved by a dense phase-1 simplex with Bland's rule.
 Local-hidden-state and almost-quantum membership are semidefinite
 feasibility problems, solved by alternating projections between the PSD
-cone and an affine constraint set.
+cone and an affine constraint set.  The iterate is one ``(k, d, d)`` stack
+of complex blocks (k hidden states for LHS, one moment matrix for
+almost-quantum), so each iteration is a few array operations: a batched
+Hermitian ``eigh`` and a precomputed affine projection.
 
 Alternating projections cannot *prove* infeasibility: the
 ``numerically-infeasible`` verdict is a stalled-residual heuristic and is
@@ -170,109 +173,53 @@ def lhv_membership(c: Correlation, cap: int = STRATEGY_CAP) -> FeasibilityReport
 # ----------------------------------------------------------------------------
 
 def project_psd_cone(m: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix: realify, clamp negative eigenvalues, map back.
+    """Nearest PSD matrix for each Hermitian matrix of a ``(..., d, d)`` stack.
 
-    Hermitian ``M = A + iB`` embeds as the real symmetric ``[[A, -B], [B, A]]``;
-    spectral functions preserve the embedded subspace, so the clamped matrix
-    maps back to a complex PSD matrix.
+    Hermitizes, then clamps negative eigenvalues of a batched complex
+    Hermitian ``eigh``; one call projects every block of the stack.
     """
-    m = hermitize(m)
-    n = m.shape[0]
-    a, b = m.real, m.imag
-    s = np.block([[a, -b], [b, a]])
-    s = (s + s.T) / 2
-    vals, vecs = np.linalg.eigh(s)
+    vals, vecs = np.linalg.eigh(hermitize(m))
     vals = np.clip(vals, 0.0, None)
-    s_plus = (vecs * vals) @ vecs.T
-    return s_plus[:n, :n] + 1j * s_plus[n:, :n]
+    return (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 class AffineConstraints:
-    """Least-norm projection onto ``{x : A x = b}`` in realified coordinates.
+    """Least-norm projection onto ``{X : A vec(X) = b}`` for a complex stack.
 
-    The variable is a stack of complex blocks; constraints are rows over the
-    realified coordinate vector and the projection uses a precomputed
-    pseudo-inverse factorization.
+    ``X`` has shape ``(k, r, c)``; ``vec`` is block-major and realified (each
+    block contributes its real part, then its imaginary part, row-major).
+    The projection uses a precomputed pseudo-inverse.
     """
 
-    def __init__(self, block_shapes: list[tuple[int, int]]):
-        self.block_shapes = block_shapes
-        self.sizes = [2 * r * c for r, c in block_shapes]
-        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-        self.dim = int(self.offsets[-1])
-        self._rows: list[np.ndarray] = []
-        self._rhs: list[float] = []
-        self._pinv: np.ndarray | None = None
-        self._a: np.ndarray | None = None
-
-    def coord(self, block: int, i: int, j: int, imag: bool) -> int:
-        r, c = self.block_shapes[block]
-        return int(self.offsets[block]) + (r * c if imag else 0) + i * c + j
-
-    def add_row(self, entries: list[tuple[int, float]], rhs: float) -> None:
-        row = np.zeros(self.dim)
-        for coord, coeff in entries:
-            row[coord] += coeff
-        self._rows.append(row)
-        self._rhs.append(rhs)
-
-    def finalize(self) -> None:
-        if not self._rows:
-            self._a = np.zeros((0, self.dim))
-            self._pinv = np.zeros((self.dim, 0))
-            self._rhs_vec = np.zeros(0)
-            return
-        a = np.vstack(self._rows)
+    def __init__(self, a: np.ndarray, rhs: np.ndarray, shape: tuple[int, int, int]):
+        self.shape = shape
         self._a = a
+        self._rhs_vec = rhs
         self._pinv = np.linalg.pinv(a, rcond=1e-12)
-        self._rhs_vec = np.asarray(self._rhs)
-        least = self._pinv @ self._rhs_vec
-        if np.max(np.abs(a @ least - self._rhs_vec)) > 1e-7:
+        least = self._pinv @ rhs
+        if np.max(np.abs(a @ least - rhs)) > 1e-7:
             raise ValueError("affine constraint system is inconsistent")
 
-    def vectorize(self, blocks: list[np.ndarray]) -> np.ndarray:
-        parts = []
-        for blk in blocks:
-            parts.append(np.asarray(blk).real.reshape(-1))
-            parts.append(np.asarray(blk).imag.reshape(-1))
-        return np.concatenate(parts)
+    def vectorize(self, blocks: np.ndarray) -> np.ndarray:
+        return np.stack([blocks.real, blocks.imag], axis=1).reshape(-1)
 
-    def devectorize(self, x: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for k, (r, c) in enumerate(self.block_shapes):
-            base = int(self.offsets[k])
-            re = x[base : base + r * c].reshape(r, c)
-            im = x[base + r * c : base + 2 * r * c].reshape(r, c)
-            out.append(re + 1j * im)
-        return out
+    def devectorize(self, x: np.ndarray) -> np.ndarray:
+        parts = x.reshape(self.shape[0], 2, *self.shape[1:])
+        return parts[:, 0] + 1j * parts[:, 1]
 
-    def project(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        if self._a is None:
-            raise RuntimeError("finalize() must be called first")
+    def project(self, blocks: np.ndarray) -> np.ndarray:
         x = self.vectorize(blocks)
-        if self._a.shape[0]:
-            x = x - self._pinv @ (self._a @ x - self._rhs_vec)
+        x = x - self._pinv @ (self._a @ x - self._rhs_vec)
         return self.devectorize(x)
 
 
-def project_affine(blocks: list[np.ndarray], constraints) -> list[np.ndarray]:
-    """Least-norm correction of the blocks onto the constraint subspace."""
-    return constraints.project(blocks)
-
-
-def _blocks_distance(a: list[np.ndarray], b: list[np.ndarray]) -> float:
-    return float(
-        np.sqrt(sum(np.sum(np.abs(x - y) ** 2) for x, y in zip(a, b)))
-    )
-
-
 def alternating_feasibility(
-    init: list[np.ndarray],
+    init: np.ndarray,
     constraints,
     tol: float = FEASIBILITY_TOL,
     max_iter: int = MAX_ITERATIONS,
-) -> tuple[FeasibilityReport, list[np.ndarray]]:
-    """Alternate affine and PSD-cone projections over a list of blocks.
+) -> tuple[FeasibilityReport, np.ndarray]:
+    """Alternate affine and PSD-cone projections over a ``(k, d, d)`` block stack.
 
     The residual is the Frobenius gap between consecutive affine and PSD
     iterates; feasible when it drops below ``tol``. A stalled residual
@@ -280,13 +227,13 @@ def alternating_feasibility(
     ``STALL_WINDOW``-iteration window) yields ``numerically-infeasible``;
     exhausting ``max_iter`` without a stall is ``inconclusive``.
     """
-    blocks = [np.asarray(b, dtype=complex) for b in init]
+    blocks = np.asarray(init, dtype=complex)
     history: list[float] = []
     residual = float("inf")
     for it in range(1, max_iter + 1):
         affine = constraints.project(blocks)
-        psd = [project_psd_cone(b) for b in affine]
-        residual = _blocks_distance(affine, psd)
+        psd = project_psd_cone(affine)
+        residual = float(np.linalg.norm(affine - psd))
         if residual < tol:
             return FeasibilityReport("feasible", residual, it, None), affine
         history.append(residual)
@@ -323,34 +270,26 @@ def lhs_membership(
     n_strat = table.shape[0]
     flat = table.reshape(n_strat, -1)  # [lam, (a_vec, x_vec)]
 
-    cons = AffineConstraints([(d_b, d_b)] * n_strat)
+    # one row per (cell, i, j, re|im): the sum over the strategies that
+    # produce the cell of that coordinate of their hidden states
     n_cells = flat.shape[1]
+    eye_b, eye_2 = np.eye(d_b), np.eye(2)
+    a_mat = np.einsum("lc,ip,jq,ts->cijtlspq", flat, eye_b, eye_b, eye_2)
+    a_mat = a_mat.reshape(n_cells * d_b * d_b * 2, -1)
     targets = a.elements.reshape(n_cells, d_b, d_b)
-    for cell in range(n_cells):
-        lams = np.nonzero(flat[:, cell])[0]
-        for i in range(d_b):
-            for j in range(d_b):
-                for imag in (False, True):
-                    entries = [(cons.coord(int(l), i, j, imag), 1.0) for l in lams]
-                    rhs = float(
-                        targets[cell, i, j].imag if imag else targets[cell, i, j].real
-                    )
-                    cons.add_row(entries, rhs)
-    cons.finalize()
+    rhs = np.stack([targets.real, targets.imag], axis=-1).reshape(-1)
+    cons = AffineConstraints(a_mat, rhs, (n_strat, d_b, d_b))
 
-    rho = a.reduced_state()
-    init = [rho / n_strat for _ in range(n_strat)]
+    init = np.repeat(a.reduced_state()[None] / n_strat, n_strat, axis=0)
     report, blocks = alternating_feasibility(init, cons, tol, max_iter)
     if report.feasible:
-        recon = sum(
-            flat[k][:, None, None] * blocks[k] for k in range(n_strat)
-        ).reshape(a.elements.shape)
+        recon = np.tensordot(flat, blocks, axes=(0, 0)).reshape(a.elements.shape)
         residual = float(np.max(np.abs(recon - a.elements)))
         return FeasibilityReport(
             "feasible",
             max(report.residual, residual),
             report.iterations,
-            {"states": np.stack(blocks)},
+            {"states": blocks},
         )
     return report
 
@@ -559,7 +498,9 @@ class MomentAffine:
     Every constraint of the feasibility definition pins a class of blocks to
     a constant (orthogonality zeros, anchors) or to each other
     (identifications), so the least-norm projection is classwise averaging;
-    no linear solve is involved.
+    no linear solve is involved.  The averaging plan (class label of every
+    block pair, pairs sorted by class, class sizes and segment starts, and
+    the pinned classes with their constants) is built once here.
     """
 
     def __init__(self, sk: MomentSkeleton):
@@ -573,49 +514,45 @@ class MomentAffine:
                 self.inconsistency = (
                     "an orthogonal-zero class carries a nonzero anchor"
                 )
+        n_w, d_b = sk.n_words, sk.block_dim
+        self.labels = np.empty(n_w * n_w, dtype=np.intp)
+        for (u, v), cid in sk.class_of.items():
+            self.labels[u * n_w + v] = cid
+        self.order = np.argsort(self.labels, kind="stable")
+        self.counts = np.bincount(self.labels, minlength=len(sk.classes))
+        self.starts = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
+        self.pinned = np.zeros(len(sk.classes), dtype=bool)
+        self.pinned_values = np.zeros((len(sk.classes), d_b * d_b), dtype=complex)
+        for cid, value in sk.anchor_values.items():
+            self.pinned[cid] = True
+            self.pinned_values[cid] = value.reshape(-1)
+        for cid in sk.zero_classes:
+            self.pinned[cid] = True
+            self.pinned_values[cid] = 0.0
+        self.pinned_values = self.pinned_values[self.pinned]
 
     def project_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        sk = self.sk
-        d_b = sk.block_dim
-        out = np.empty_like(matrix)
-        for cid, members in enumerate(sk.classes):
-            if cid in sk.zero_classes:
-                value = np.zeros((d_b, d_b), dtype=complex)
-            elif cid in sk.anchor_values:
-                value = sk.anchor_values[cid]
-            else:
-                value = np.zeros((d_b, d_b), dtype=complex)
-                for u, v in members:
-                    value += matrix[u * d_b : (u + 1) * d_b, v * d_b : (v + 1) * d_b]
-                value /= len(members)
-            for u, v in members:
-                out[u * d_b : (u + 1) * d_b, v * d_b : (v + 1) * d_b] = value
-        return out
+        n_w, d_b = self.sk.n_words, self.sk.block_dim
+        pairs = matrix.reshape(n_w, d_b, n_w, d_b).transpose(0, 2, 1, 3)
+        pairs = pairs.reshape(n_w * n_w, d_b * d_b)
+        value = np.add.reduceat(pairs[self.order], self.starts, axis=0)
+        value /= self.counts[:, None]
+        value[self.pinned] = self.pinned_values
+        out = value[self.labels].reshape(n_w, n_w, d_b, d_b).transpose(0, 2, 1, 3)
+        return out.reshape(matrix.shape)
 
-    def project(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        return [self.project_matrix(blocks[0])]
+    def project(self, blocks: np.ndarray) -> np.ndarray:
+        return self.project_matrix(blocks[0])[None]
 
 
 def attach_assemblage_anchors(sk: MomentSkeleton, a: Assemblage) -> None:
     """Record the anchor constants (reduced state and marginal elements) on
     the skeleton, so condition residuals can be evaluated against them."""
     index = {w: k for k, w in enumerate(sk.words)}
-    sk.anchor_values = {}
-    for word, value in _assemblage_marginals(a).items():
-        cid = sk.class_of[(0, index[word])]
-        sk.anchor_values[cid] = np.asarray(value, dtype=complex)
-
-
-def _moment_constraints(
-    sk: MomentSkeleton, anchors: dict[Word, np.ndarray]
-) -> MomentAffine:
-    """Attach anchor constants to the skeleton and compile the projection."""
-    index = {w: k for k, w in enumerate(sk.words)}
-    sk.anchor_values = {}
-    for word, value in anchors.items():
-        cid = sk.class_of[(0, index[word])]
-        sk.anchor_values[cid] = np.asarray(value, dtype=complex)
-    return MomentAffine(sk)
+    sk.anchor_values = {
+        sk.class_of[(0, index[word])]: np.asarray(value, dtype=complex)
+        for word, value in _assemblage_marginals(a).items()
+    }
 
 
 def almost_quantum_assemblage_membership(
@@ -638,16 +575,17 @@ def almost_quantum_assemblage_membership(
         raise ValueError(f"assemblage is signalling (residual {ns_res:.3e})")
     n, m, d, d_b = a.n_untrusted, a.n_inputs, a.n_outputs, a.trusted_dim
     sk = build_moment_skeleton(n, m, d, d_b, cap)
-    cons = _moment_constraints(sk, _assemblage_marginals(a))
+    attach_assemblage_anchors(sk, a)
+    cons = MomentAffine(sk)
     if not cons.consistent:
         return FeasibilityReport(
             "numerically-infeasible", float("inf"), 0, None, cons.inconsistency
         )
 
     if init is not None:
-        start = [np.asarray(init, dtype=complex)]
+        start = np.asarray(init, dtype=complex)[None]
     else:
-        start = [np.zeros((sk.flat_dim, sk.flat_dim), dtype=complex)]
+        start = np.zeros((1, sk.flat_dim, sk.flat_dim), dtype=complex)
 
     report, blocks = alternating_feasibility(start, cons, tol, max_iter)
     if report.feasible:

@@ -6,7 +6,8 @@ import numpy as np
 
 from causalchannels import Party, serialize
 from causalchannels.channels import channel_from_unitary
-from causalchannels.cli import main
+from causalchannels.cli import _build_parser, _tolerance, main
+from causalchannels.membership import FEASIBILITY_TOL, MAX_ITERATIONS
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
@@ -145,3 +146,43 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify-causal", ch_file)
         assert code == 0
         assert "verdict: causal" in out
+
+
+class TestFlagValidation:
+    def test_defaults_come_from_the_library(self, monkeypatch):
+        monkeypatch.delenv("WORKBENCH_TOL", raising=False)
+        assert _build_parser().parse_args(["demo", "singlet"]).max_iter == MAX_ITERATIONS
+        assert _tolerance(None) == FEASIBILITY_TOL
+
+    def test_non_numeric_env_tolerance_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("WORKBENCH_TOL", "abc")
+        code, _, err = run(capsys, "demo", "singlet")
+        assert code == 64
+        assert "WORKBENCH_TOL" in err
+        assert "Traceback" not in err
+
+    def test_non_positive_env_tolerance_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("WORKBENCH_TOL", "0")
+        code, _, _ = run(capsys, "demo", "singlet")
+        assert code == 64
+
+    def test_non_positive_tol_flag_is_usage_error(self, capsys):
+        for value in ("0", "-1", "nan"):
+            code, _, err = run(capsys, f"--tol={value}", "demo", "singlet")
+            assert code == 64
+            assert "tolerance must be positive" in err
+
+    def test_max_iter_below_one_is_usage_error(self, capsys):
+        for value in ("0", "-5"):
+            code, _, err = run(capsys, f"--max-iter={value}", "demo", "singlet")
+            assert code == 64
+            assert "--max-iter" in err
+
+    def test_max_iter_one_is_accepted(self, capsys, tmp_path):
+        ch_file = str(tmp_path / "steer.json")
+        run(capsys, "construct", "pq-steering-pr", "-o", ch_file)
+        assm_file = str(tmp_path / "assm.json")
+        run(capsys, "extract", "assemblage", ch_file, "-o", assm_file)
+        code, out, _ = run(capsys, "--max-iter", "1", "classify", "lhs", assm_file)
+        assert code == 0
+        assert "iterations: 1" in out

@@ -9,6 +9,7 @@ from causalchannels import (
     Assemblage,
     Correlation,
     almost_quantum_assemblage_membership,
+    assemblage_from_channel,
     assemblage_from_commuting_projectors,
     build_moment_skeleton,
     chsh_value,
@@ -21,8 +22,13 @@ from causalchannels import (
 )
 from causalchannels.constructions import PAULI_X, PAULI_Z
 from causalchannels.linalg import max_entangled, partial_trace_dims, projector
+from causalchannels.sampling import random_density
 from causalchannels.membership import (
+    AffineConstraints,
+    MomentAffine,
     MomentMatrix,
+    almost_quantum_correlation_membership,
+    attach_assemblage_anchors,
     enumerate_strategies,
     moment_matrix_from_lhs_model,
     project_psd_cone,
@@ -390,6 +396,112 @@ class TestSolverSubstrate:
             else:
                 aq = almost_quantum_assemblage_membership(assm, max_iter=4000)
             assert aq.feasible == in_polytope
+
+
+def loop_class_average(sk, matrix: np.ndarray) -> np.ndarray:
+    """Reference class averaging: one Python pass per class and block."""
+    d_b = sk.block_dim
+    out = np.empty_like(matrix)
+    for cid, members in enumerate(sk.classes):
+        if cid in sk.zero_classes:
+            value = np.zeros((d_b, d_b), dtype=complex)
+        elif cid in sk.anchor_values:
+            value = sk.anchor_values[cid]
+        else:
+            value = np.zeros((d_b, d_b), dtype=complex)
+            for u, v in members:
+                value += matrix[u * d_b : (u + 1) * d_b, v * d_b : (v + 1) * d_b]
+            value /= len(members)
+        for u, v in members:
+            out[u * d_b : (u + 1) * d_b, v * d_b : (v + 1) * d_b] = value
+    return out
+
+
+def realified_psd_projection(m: np.ndarray) -> np.ndarray:
+    """Reference PSD projection through the real ``[[A, -B], [B, A]]`` embedding."""
+    m = (m + m.conj().T) / 2
+    n = m.shape[0]
+    s = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    vals, vecs = np.linalg.eigh((s + s.T) / 2)
+    s_plus = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+    return s_plus[:n, :n] + 1j * s_plus[n:, :n]
+
+
+def random_lhs_assemblage(rng, n: int, m: int, d: int, d_b: int) -> Assemblage:
+    table = strategy_table(n, m, d)
+    weights = rng.dirichlet(np.ones(table.shape[0]))
+    states = np.stack([w * random_density(rng, d_b) for w in weights])
+    return Assemblage(np.tensordot(table, states, axes=(0, 0)))
+
+
+class TestVectorisedKernels:
+    @pytest.mark.parametrize("n, m, d, d_b", [(2, 2, 2, 1), (2, 3, 2, 1), (1, 2, 2, 2), (3, 2, 2, 1)])
+    def test_class_average_matches_loop(self, rng, n, m, d, d_b):
+        sk = build_moment_skeleton(n, m, d, d_b)
+        attach_assemblage_anchors(sk, random_lhs_assemblage(rng, n, m, d, d_b))
+        affine = MomentAffine(sk)
+        assert affine.consistent
+        for _ in range(3):
+            shape = (sk.flat_dim, sk.flat_dim)
+            mat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            got = affine.project_matrix(mat)
+            assert np.max(np.abs(got - loop_class_average(sk, mat))) < 1e-12
+            # a projection: applying it twice changes nothing
+            assert np.max(np.abs(affine.project_matrix(got) - got)) < 1e-12
+
+    def test_psd_projection_matches_realified_single(self, rng):
+        g = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+        got = project_psd_cone(g)
+        assert got.shape == (7, 7)
+        assert np.max(np.abs(got - realified_psd_projection(g))) < 1e-12
+
+    def test_psd_projection_matches_realified_stack(self, rng):
+        g = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
+        got = project_psd_cone(g)
+        assert got.shape == g.shape
+        for k in range(5):
+            assert np.max(np.abs(got[k] - realified_psd_projection(g[k]))) < 1e-12
+
+    def test_affine_coordinates_block_major_re_im(self, rng):
+        # coordinate of (block, i, j, imag) in a (3, 2, 4) stack
+        cons = AffineConstraints(np.eye(48)[:1], np.zeros(1), (3, 2, 4))
+        blocks = rng.normal(size=(3, 2, 4)) + 1j * rng.normal(size=(3, 2, 4))
+        x = cons.vectorize(blocks)
+        for k, i, j in product(range(3), range(2), range(4)):
+            assert x[k * 16 + i * 4 + j] == blocks[k, i, j].real
+            assert x[k * 16 + 8 + i * 4 + j] == blocks[k, i, j].imag
+        assert np.array_equal(cons.devectorize(x), blocks)
+
+
+class TestPinnedVerdicts:
+    """Verdicts and iteration counts of the decisive gallery instances at
+    ``max_iter=1000``; a faster solver must not change an answer.  Counts
+    may move by 2 to absorb round-off in summation order."""
+
+    @pytest.mark.parametrize(
+        "instance, status, iterations",
+        [
+            ("pr-box almost-quantum", "numerically-infeasible", 629),
+            ("singlet almost-quantum", "feasible", 628),
+            ("pq-steering-pr lhs", "numerically-infeasible", 501),
+            ("pq-steering-pr almost-quantum", "numerically-infeasible", 629),
+        ],
+    )
+    def test_verdict_and_iterations(
+        self, instance, status, iterations, singlet_channel, pq_pr_channel
+    ):
+        if instance == "pr-box almost-quantum":
+            rep = almost_quantum_correlation_membership(Correlation(pr_table()), max_iter=1000)
+        elif instance == "singlet almost-quantum":
+            c = correlations_from_channel(singlet_channel)
+            rep = almost_quantum_correlation_membership(c, max_iter=1000)
+        elif instance == "pq-steering-pr lhs":
+            rep = lhs_membership(assemblage_from_channel(pq_pr_channel), max_iter=1000)
+        else:
+            a = assemblage_from_channel(pq_pr_channel)
+            rep = almost_quantum_assemblage_membership(a, max_iter=1000)
+        assert rep.status == status
+        assert abs(rep.iterations - iterations) <= 2
 
 
 class TestTsirelsonWitness:
