@@ -9,7 +9,6 @@ failure, 1 internal error, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -39,6 +38,7 @@ from .scenarios import (
 )
 from .serialize import (
     DocumentError,
+    canonical_json,
     causality_report_payload,
     feasibility_report_payload,
     parse,
@@ -138,7 +138,7 @@ def _load(path: str):
 
 def _emit_report(payload: dict, as_json: bool, text_lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2))
+        print(canonical_json(payload))
     else:
         for line in text_lines:
             print(line)
@@ -405,7 +405,7 @@ def _pr_table() -> np.ndarray:
 def _cmd_demo(args, as_json: bool) -> int:
     lines, payload = _demo_lines(args.name, args.alpha)
     if as_json:
-        print(json.dumps({"demo": args.name, **payload}, indent=2))
+        print(canonical_json({"demo": args.name, **payload}))
     else:
         print(f"demo: {args.name}")
         for line in lines:

@@ -84,13 +84,28 @@ def strategy_table(n: int, m: int, d: int, cap: int = STRATEGY_CAP) -> np.ndarra
 # Dense phase-1 simplex
 # ----------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class SimplexResult:
+    """Phase-1 outcome; unpacks as ``(feasible, x, artificial_optimum)``."""
+
+    feasible: bool
+    x: np.ndarray
+    optimum: float
+    pivots: int
+    capped: bool  # stopped at ``max_pivots`` with an improving column left
+
+    def __iter__(self):
+        return iter((self.feasible, self.x, self.optimum))
+
+
 def simplex_phase1(
     a_mat: np.ndarray, b_vec: np.ndarray, tol: float = 1e-9, max_pivots: int = 100000
-) -> tuple[bool, np.ndarray, float]:
+) -> SimplexResult:
     """Feasibility of ``A x = b, x >= 0`` via artificial variables.
 
     Minimizes the sum of artificials with Bland's anti-cycling rule on a
-    dense tableau.  Returns ``(feasible, x, artificial_optimum)``.
+    dense tableau, for at most ``max_pivots`` pivots.  A run stopped by the
+    cap has not reached the optimum, so its artificial sum proves nothing.
     """
     a_mat = np.asarray(a_mat, dtype=float)
     b_vec = np.asarray(b_vec, dtype=float).copy()
@@ -110,7 +125,8 @@ def simplex_phase1(
     tab[-1, :] = -tab[:n_rows, :].sum(axis=0)
     tab[-1, n_cols : n_cols + n_rows] = 0.0
 
-    for _ in range(max_pivots):
+    pivots, capped = 0, False
+    while True:
         costs = tab[-1, : n_cols + n_rows]
         entering = -1
         for j in range(n_cols + n_rows):  # Bland: smallest index
@@ -118,6 +134,9 @@ def simplex_phase1(
                 entering = j
                 break
         if entering < 0:
+            break
+        if pivots == max_pivots:
+            capped = True
             break
         col = tab[:n_rows, entering]
         best_ratio, leaving = None, -1
@@ -138,16 +157,21 @@ def simplex_phase1(
             if i != leaving and abs(tab[i, entering]) > 0:
                 tab[i, :] -= tab[i, entering] * tab[leaving, :]
         basis[leaving] = entering
+        pivots += 1
     optimum = -tab[-1, -1]
     x = np.zeros(n_cols)
     for i, var in enumerate(basis):
         if var < n_cols:
             x[var] = tab[i, -1]
-    return optimum <= 1e-9, x, float(max(optimum, 0.0))
+    return SimplexResult(optimum <= 1e-9, x, float(max(optimum, 0.0)), pivots, capped)
 
 
 def lhv_membership(c: Correlation, cap: int = STRATEGY_CAP) -> FeasibilityReport:
-    """LP feasibility of ``p = sum_lam w_lam D_lam`` with a probability vector w."""
+    """LP feasibility of ``p = sum_lam w_lam D_lam`` with a probability vector w.
+
+    ``iterations`` is the simplex pivot count.  A run stopped by the pivot
+    cap short of a feasible point is ``inconclusive``.
+    """
     c.validate()
     n, m, d = c.n_parties, c.n_inputs, c.n_outputs
     table = strategy_table(n, m, d, cap)
@@ -156,15 +180,19 @@ def lhv_membership(c: Correlation, cap: int = STRATEGY_CAP) -> FeasibilityReport
     b_vec = c.table.reshape(-1)
     a_mat = np.vstack([a_mat, np.ones((1, n_strat))])
     b_vec = np.concatenate([b_vec, [1.0]])
-    feasible, weights, optimum = simplex_phase1(a_mat, b_vec)
-    if feasible:
-        recon = np.tensordot(weights, table, axes=(0, 0))
+    lp = simplex_phase1(a_mat, b_vec)
+    if lp.feasible:
+        recon = np.tensordot(lp.x, table, axes=(0, 0))
         residual = float(np.max(np.abs(recon - c.table)))
         return FeasibilityReport(
-            "feasible", residual, 0, {"weights": weights}, "phase-1 simplex"
+            "feasible", residual, lp.pivots, {"weights": lp.x}, "phase-1 simplex"
+        )
+    if lp.capped:
+        return FeasibilityReport(
+            "inconclusive", lp.optimum, lp.pivots, None, "simplex pivot cap reached"
         )
     return FeasibilityReport(
-        "numerically-infeasible", optimum, 0, None, "phase-1 artificial optimum > 0"
+        "numerically-infeasible", lp.optimum, lp.pivots, None, "phase-1 artificial optimum > 0"
     )
 
 

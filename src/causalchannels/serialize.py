@@ -3,13 +3,19 @@
 Every document is ``{"kind": ..., "version": "1", "payload": ...}``; complex
 numbers are stored as ``[re, im]`` pairs and matrices row-major.  Canonical
 serialization emits table keys in ``(x_vec, a_vec)`` lexicographic order
-(indices zero-padded), so repeated serializations are byte-identical.
+(indices zero-padded), so repeated serializations are byte-identical.  The
+text is exactly what ``json.dumps(doc, indent=2)`` writes; payload builders
+keep matrices as complex arrays and :func:`canonical_json` formats each one
+in bulk.  Decoding converts a matrix with one ``np.array`` call and walks
+its entries only to name the first malformed one.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import product
+import math
+from itertools import chain, product
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -30,48 +36,151 @@ class DocumentError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-# -- scalar / matrix encoding -------------------------------------------------
+# -- canonical JSON writer ------------------------------------------------------
 
-def _encode_complex(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _encode_matrix(m: np.ndarray) -> list:
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return [[_encode_complex(z) for z in row] for row in m]
+def _scalar_text(value) -> str:
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)  # NaN, Infinity, strings, null, booleans, integers
 
 
-def _encode_vector(v: np.ndarray) -> list:
-    return [_encode_complex(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
+def _write_array(a: np.ndarray, level: int, out: list[str]) -> None:
+    """Array ``a`` as nested lists opened at ``level``; complex entries are
+    ``[re, im]`` pairs, real entries plain numbers.
+
+    Every number is formatted in one pass, and the text between two numbers
+    depends only on how many lists close there, so the separators are laid
+    out by list repetition instead of a walk over the entries.
+    """
+    parts = np.stack([a.real, a.imag], axis=-1) if np.iscomplexobj(a) else a
+    if parts.size == 0:
+        _write(parts.tolist(), level, out)
+        return
+    numbers = parts.ravel().tolist()
+    fmt = float.__repr__ if np.isfinite(parts).all() else _scalar_text
+    depth = level + parts.ndim  # nesting level of the numbers
+    pad = ["\n" + "  " * k for k in range(depth + 1)]
+    # the separator after a number that ends ``c`` lists closes and reopens them
+    between = [
+        "".join(pad[depth - 1 - q] + "]" for q in range(c))
+        + ","
+        + "".join(pad[depth - c + q] + "[" for q in range(c))
+        + pad[depth]
+        for c in range(parts.ndim)
+    ]
+    seps = [between[0]] * (parts.shape[-1] - 1)
+    for closes, n in enumerate(reversed(parts.shape[:-1]), start=1):
+        seps = (seps + [between[closes]]) * n
+        seps.pop()
+    text = [""] * (2 * len(numbers) - 1)
+    text[::2] = map(fmt, numbers)
+    text[1::2] = seps
+    out.append("[" + "".join(pad[k] + "[" for k in range(level + 1, depth)) + pad[depth])
+    out += text
+    out.append("".join(pad[k] + "]" for k in range(depth - 1, level - 1, -1)))
+
+
+def _write(value, level: int, out: list[str]) -> None:
+    if isinstance(value, np.ndarray):
+        _write_array(value, level, out)
+        return
+    if isinstance(value, dict):
+        opening, closing = "{", "}"
+        entries = [(encode_basestring_ascii(key) + ": ", item) for key, item in value.items()]
+    elif isinstance(value, (list, tuple)):
+        opening, closing = "[", "]"
+        entries = [("", item) for item in value]
+    else:
+        out.append(_scalar_text(value))
+        return
+    if not entries:
+        out.append(opening + closing)
+        return
+    pad = "\n" + "  " * (level + 1)
+    sep = opening + pad
+    for prefix, item in entries:
+        out.append(sep + prefix)
+        _write(item, level + 1, out)
+        sep = "," + pad
+    out.append("\n" + "  " * level + closing)
+
+
+def canonical_json(value) -> str:
+    """The bytes ``json.dumps(value, indent=2)`` writes, with arrays.
+
+    ``value`` is JSON data (dicts with string keys, lists, scalars) whose
+    leaves may be ``ndarray``: a complex array is written as nested lists
+    of ``[re, im]`` pairs (a matrix row-major), a real one as nested lists
+    of numbers, each formatted in bulk.
+    """
+    out: list[str] = []
+    _write(value, 0, out)
+    return "".join(out)
+
+
+def _matrix(m) -> np.ndarray:
+    return np.atleast_2d(np.asarray(m, dtype=complex))
+
+
+def _vector(v) -> np.ndarray:
+    return np.asarray(v, dtype=complex).reshape(-1)
+
+
+# -- matrix decoding --------------------------------------------------------------
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _bulk_pairs(value, ndim: int) -> np.ndarray | None:
+    """``ndim`` levels of regular lists of ``[re, im]`` number pairs, else ``None``.
+
+    One ``np.array`` conversion plus a shape and dtype check; booleans,
+    which numpy would silently read as 0 and 1, are found by one pass over
+    the element types.
+    """
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged nesting
+        return None
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2 or arr.dtype.kind not in "iuf":
+        return None
+    numbers = value
+    for _ in range(ndim):
+        numbers = chain.from_iterable(numbers)
+    if bool in set(map(type, numbers)):
+        return None
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
 
 
 def _decode_complex(value, path: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(x, (int, float)) for x in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
         raise DocumentError(path, "complex entries must be [re, im] number pairs")
     return complex(value[0], value[1])
 
 
 def _decode_matrix(value, path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
-    if not isinstance(value, list) or not value or not isinstance(value[0], list):
-        raise DocumentError(path, "expected a row-major matrix (list of rows)")
-    rows = len(value)
-    cols = len(value[0])
-    out = np.zeros((rows, cols), dtype=complex)
-    for i, row in enumerate(value):
-        if len(row) != cols:
-            raise DocumentError(f"{path}[{i}]", "ragged matrix rows")
-        for j, entry in enumerate(row):
-            out[i, j] = _decode_complex(entry, f"{path}[{i}][{j}]")
+    out = _bulk_pairs(value, 2)
+    if out is None:  # malformed or degenerate: walk it for the exact error
+        if not isinstance(value, list) or not value or not isinstance(value[0], list):
+            raise DocumentError(path, "expected a row-major matrix (list of rows)")
+        rows = len(value)
+        cols = len(value[0])
+        out = np.zeros((rows, cols), dtype=complex)
+        for i, row in enumerate(value):
+            if len(row) != cols:
+                raise DocumentError(f"{path}[{i}]", "ragged matrix rows")
+            for j, entry in enumerate(row):
+                out[i, j] = _decode_complex(entry, f"{path}[{i}][{j}]")
     if shape is not None and out.shape != shape:
         raise DocumentError(path, f"matrix shape {out.shape} != expected {shape}")
     return out
 
 
 def _decode_vector(value, path: str) -> np.ndarray:
+    out = _bulk_pairs(value, 1)
+    if out is not None:
+        return out
     if not isinstance(value, list):
         raise DocumentError(path, "expected a list of [re, im] pairs")
     return np.array([_decode_complex(v, f"{path}[{k}]") for k, v in enumerate(value)])
@@ -110,7 +219,7 @@ def _channel_payload(ch: Channel) -> dict:
             }
             for p in ch.parties
         ],
-        "choi": _encode_matrix(ch.choi),
+        "choi": _matrix(ch.choi),
     }
 
 
@@ -152,12 +261,12 @@ def _circuit_payload(circ: CircuitChannel) -> dict:
             for p in circ.parties
         ],
         "ancilla_prep": (
-            {"form": "vector", "entries": _encode_vector(prep)}
+            {"form": "vector", "entries": _vector(prep)}
             if prep.ndim == 1
-            else {"form": "matrix", "entries": _encode_matrix(prep)}
+            else {"form": "matrix", "entries": _matrix(prep)}
         ),
         "gates": [
-            {"unitary": _encode_matrix(g.unitary), "acts_on": list(g.acts_on)}
+            {"unitary": _matrix(g.unitary), "acts_on": list(g.acts_on)}
             for g in circ.gates
         ],
     }
@@ -232,7 +341,7 @@ def _correlation_from_payload(payload: dict, path: str) -> Correlation:
         x_part, _, a_part = key.partition("|")
         x_vec = _parse_index_key(x_part, "x=", n, f"{path}.entries")
         a_vec = _parse_index_key(a_part, "a=", n, f"{path}.entries")
-        if not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise DocumentError(f"{path}.entries[{key!r}]", "probability must be a number")
         try:
             table[a_vec + x_vec] = float(value)
@@ -251,7 +360,7 @@ def _assemblage_payload(a: Assemblage) -> dict:
     elements = {}
     for x_vec in product(range(m), repeat=n):
         for a_vec in product(range(d), repeat=n):
-            elements[_table_key(x_vec, a_vec)] = _encode_matrix(a.element(a_vec, x_vec))
+            elements[_table_key(x_vec, a_vec)] = _matrix(a.element(a_vec, x_vec))
     return {
         "n_untrusted": n,
         "n_inputs": m,
@@ -287,7 +396,7 @@ def _measurement_payload(dm: DistributedMeasurement) -> dict:
     n, d = dm.n_parties, dm.n_outputs
     elements = {}
     for a_vec in product(range(d), repeat=n):
-        elements[_index_key("a=", a_vec)] = _encode_matrix(dm.element(a_vec))
+        elements[_index_key("a=", a_vec)] = _matrix(dm.element(a_vec))
     return {
         "input_dims": list(dm.input_dims),
         "n_outputs": d,
@@ -317,7 +426,7 @@ def _teleportage_payload(t: Teleportage) -> dict:
     n, d = t.n_parties, t.n_outputs
     blocks = {}
     for a_vec in product(range(d), repeat=n):
-        blocks[_index_key("a=", a_vec)] = _encode_matrix(t.block(a_vec))
+        blocks[_index_key("a=", a_vec)] = _matrix(t.block(a_vec))
     return {
         "input_dims": list(t.input_dims),
         "n_outputs": d,
@@ -371,14 +480,14 @@ def feasibility_report_payload(rep: FeasibilityReport) -> dict:
         "detail": rep.detail,
     }
     if rep.certificate and "weights" in rep.certificate:
-        out["certificate"] = {"weights": [float(w) for w in rep.certificate["weights"]]}
+        out["certificate"] = {"weights": np.asarray(rep.certificate["weights"], dtype=float)}
     elif rep.certificate and "states" in rep.certificate:
         out["certificate"] = {
-            "states": [_encode_matrix(s) for s in rep.certificate["states"]]
+            "states": [_matrix(s) for s in rep.certificate["states"]]
         }
     elif rep.certificate and "moment_matrix" in rep.certificate:
         out["certificate"] = {
-            "moment_matrix": _encode_matrix(rep.certificate["moment_matrix"].matrix)
+            "moment_matrix": _matrix(rep.certificate["moment_matrix"].matrix)
         }
     return out
 
@@ -421,19 +530,17 @@ def serialize(obj) -> str:
     elif isinstance(obj, Teleportage):
         payload = _teleportage_payload(obj)
     elif isinstance(obj, CausalityReport):
-        payload = causality_report_payload(obj)
-        return json.dumps(
-            {"kind": "report", "version": VERSION, "payload": payload}, indent=2
+        return canonical_json(
+            {"kind": "report", "version": VERSION, "payload": causality_report_payload(obj)}
         )
     elif isinstance(obj, FeasibilityReport):
-        payload = feasibility_report_payload(obj)
-        return json.dumps(
-            {"kind": "report", "version": VERSION, "payload": payload}, indent=2
+        return canonical_json(
+            {"kind": "report", "version": VERSION, "payload": feasibility_report_payload(obj)}
         )
     else:
         raise DocumentError("$", f"cannot serialize objects of type {type(obj).__name__}")
     kind = _KIND_BY_TYPE[type(obj)]
-    return json.dumps({"kind": kind, "version": VERSION, "payload": payload}, indent=2)
+    return canonical_json({"kind": kind, "version": VERSION, "payload": payload})
 
 
 def parse(text: str):

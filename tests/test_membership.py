@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 from itertools import product
 
 import numpy as np
@@ -23,6 +24,7 @@ from causalchannels import (
 from causalchannels.constructions import PAULI_X, PAULI_Z
 from causalchannels.linalg import max_entangled, partial_trace_dims, projector
 from causalchannels.sampling import random_density
+from causalchannels import membership
 from causalchannels.membership import (
     AffineConstraints,
     MomentAffine,
@@ -59,6 +61,17 @@ class TestSimplex:
         assert not ok
         assert opt > 0.5
 
+    def test_pivot_cap(self):
+        a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        b = np.array([1.0, 1.0])
+        full = simplex_phase1(a, b)
+        assert full.pivots > 1 and not full.capped
+        capped = simplex_phase1(a, b, max_pivots=1)
+        assert capped.pivots == 1 and capped.capped
+        exact = simplex_phase1(a, b, max_pivots=full.pivots)
+        assert not exact.capped
+        assert tuple(exact)[0] and np.array_equal(exact.x, full.x)
+
 
 class TestLhv:
     def test_uniform_noise_is_local(self):
@@ -85,6 +98,22 @@ class TestLhv:
         assert chsh_value(c) > 2.0 + 1e-6  # certifying witness
         rep = lhv_membership(c)
         assert rep.status == "numerically-infeasible"
+
+    def test_iterations_are_pivots(self):
+        rep = lhv_membership(Correlation(np.full((2, 2, 2, 2), 0.25)))
+        assert rep.iterations == 16
+        assert lhv_membership(Correlation(pr_table())).iterations == 8
+
+    def test_pivot_cap_is_inconclusive(self, monkeypatch):
+        """A capped phase 1 has a nonzero artificial sum that proves nothing."""
+        monkeypatch.setattr(
+            membership, "simplex_phase1", functools.partial(simplex_phase1, max_pivots=3)
+        )
+        for table in (pr_table(), np.full((2, 2, 2, 2), 0.25)):
+            rep = lhv_membership(Correlation(table))
+            assert rep.status == "inconclusive"
+            assert rep.iterations == 3
+            assert rep.residual > 0
 
     def test_strategy_cap(self):
         uniform = Correlation(np.full((4,) * 3 + (4,) * 3, 1.0 / 64.0))
