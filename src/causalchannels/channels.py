@@ -4,12 +4,14 @@ A :class:`Channel` stores the *normalized* Choi state
 ``Omega = (Lambda (x) id)(|Phi+><Phi+|)`` with ``|Phi+>`` normalized, so
 ``tr(Omega) = 1``.  The Choi factors are ordered party by party with each
 party's input factor before its output factor (trusted party last), i.e.
-``[in_1, out_1, in_2, out_2, ...]``.
+``[in_1, out_1, in_2, out_2, ...]``.  The Choi matrix is read-only, so the
+factor regrouping the channel's action needs is computed once per channel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,13 +52,19 @@ class Channel:
             raise ValueError("at most one trusted party is supported")
         if trusted and not parties[-1].trusted:
             raise ValueError("the trusted party must be last")
-        choi = np.asarray(choi, dtype=complex)
+        choi = np.array(choi, dtype=complex)
+        choi.flags.writeable = False
         self.parties = parties
-        self.choi = choi
+        self._choi = choi
         if choi.shape != (self.total_dim, self.total_dim):
             raise ValueError(
                 f"choi shape {choi.shape} does not match layout dimension {self.total_dim}"
             )
+
+    @property
+    def choi(self) -> np.ndarray:
+        """The normalized Choi state, read-only."""
+        return self._choi
 
     # -- layout bookkeeping ---------------------------------------------------
 
@@ -119,11 +127,14 @@ class Channel:
     def out_factor(self, k: int) -> int:
         return 2 * k + 1
 
-    def _grouped_choi(self) -> np.ndarray:
-        """Choi with factors reordered to [all ins..., all outs...]."""
+    @cached_property
+    def _grouped(self) -> np.ndarray:
+        """Choi with factors reordered to [all ins..., all outs...], indexed
+        ``[in, out, in', out']``; read-only like the Choi it is taken from."""
         n = self.n_parties
         perm = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-        g = permute_subsystems_dims(self.choi, self.factor_dims, perm)
+        g = permute_subsystems_dims(self._choi, self.factor_dims, perm)
+        g.flags.writeable = False
         return g.reshape(self.dim_in, self.dim_out, self.dim_in, self.dim_out)
 
     # -- validation -----------------------------------------------------------
@@ -158,8 +169,7 @@ class Channel:
             raise ValueError(
                 f"input of shape {rho.shape} does not match channel input dim {self.dim_in}"
             )
-        omega = self._grouped_choi()
-        return self.dim_in * np.einsum("ji,jaib->ab", rho, omega, optimize=True)
+        return self.dim_in * np.einsum("ji,jaib->ab", rho, self._grouped, optimize=True)
 
     def dual_apply(self, effect: np.ndarray) -> np.ndarray:
         """Heisenberg-picture adjoint: ``tr[E Lambda(rho)] = tr[dual(E) rho]``."""
@@ -168,8 +178,7 @@ class Channel:
             raise ValueError(
                 f"effect of shape {effect.shape} does not match output dim {self.dim_out}"
             )
-        omega = self._grouped_choi()
-        x = np.einsum("op,ipjo->ij", effect, omega, optimize=True)
+        x = np.einsum("op,ipjo->ij", effect, self._grouped, optimize=True)
         return self.dim_in * x.T
 
     def apply_to_subsystems(
@@ -178,11 +187,13 @@ class Channel:
         """Apply the channel to the listed tensor factors of a larger state.
 
         ``positions[k]`` is the factor of ``rho`` fed into the k-th party
-        input; the other factors are left untouched.  Returns the new state
-        and its factor dimensions (channel outputs replace the inputs at the
-        same positions).
+        input; the other factors are left untouched.  Leading axes of ``rho``
+        index a stack of states, all mapped in one contraction.  Returns the
+        new state(s) and the factor dimensions (channel outputs replace the
+        inputs at the same positions).
         """
         rho = np.asarray(rho, dtype=complex)
+        stack = rho.shape[:-2]
         n = len(dims)
         if sorted(set(positions)) != sorted(positions) or len(positions) != self.n_parties:
             raise ValueError("positions must list one distinct factor per party")
@@ -197,10 +208,9 @@ class Channel:
         d_rest = 1
         for k in rest:
             d_rest *= dims[k]
-        work = work.reshape(self.dim_in, d_rest, self.dim_in, d_rest)
-        omega = self._grouped_choi()
-        out = self.dim_in * np.einsum("jsit,jaib->asbt", work, omega, optimize=True)
-        out = out.reshape(self.dim_out * d_rest, self.dim_out * d_rest)
+        work = work.reshape(stack + (self.dim_in, d_rest, self.dim_in, d_rest))
+        out = self.dim_in * np.einsum("...jsit,jaib->...asbt", work, self._grouped, optimize=True)
+        out = out.reshape(stack + (self.dim_out * d_rest, self.dim_out * d_rest))
         # restore the original factor ordering, outputs sitting at `positions`
         out_dims = list(self.dims_out) + [dims[k] for k in rest]
         current = list(positions) + rest
@@ -253,10 +263,8 @@ def kraus_from_choi(ch: Channel, cutoff: float = KRAUS_RANK_CUTOFF) -> KrausSet:
     dropped, so the rank of the returned set matches the effective rank of
     the Choi matrix.
     """
-    n = ch.n_parties
-    perm = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-    grouped = permute_subsystems_dims(ch.choi, ch.factor_dims, perm)
-    unnorm = ch.dim_in * grouped
+    d = ch.dim_in * ch.dim_out
+    unnorm = ch.dim_in * ch._grouped.reshape(d, d)
     vals, vecs = np.linalg.eigh((unnorm + unnorm.conj().T) / 2)
     if vals.min() < -1e-8:
         raise ValueError(f"choi is not PSD: min eigenvalue {vals.min():.3e}")

@@ -142,9 +142,9 @@ def _check_total_dim(m: np.ndarray, dims: Sequence[int]) -> None:
     total = 1
     for d in dims:
         total *= d
-    if m.shape[0] != total:
+    if m.shape[-1] != total:
         raise ValueError(
-            f"matrix dimension {m.shape[0]} does not match subsystem dims {tuple(dims)}"
+            f"matrix dimension {m.shape[-1]} does not match subsystem dims {tuple(dims)}"
         )
 
 
@@ -202,15 +202,18 @@ def permute_subsystems_dims(
     """Conjugate by the permutation of tensor factors.
 
     ``perm[k]`` is the index (into ``dims``) of the factor placed at position
-    ``k`` of the output.
+    ``k`` of the output.  Leading axes of ``m`` index a stack of matrices,
+    each permuted alike.
     """
-    m = _as_square(m)
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     _check_total_dim(m, dims)
-    n = len(dims)
+    n, b = len(dims), m.ndim - 2
     if sorted(perm) != list(range(n)):
         raise ValueError(f"invalid permutation {tuple(perm)} for {n} subsystems")
-    axes = list(perm) + [p + n for p in perm]
-    t = m.reshape(tuple(dims) + tuple(dims)).transpose(axes)
+    axes = list(range(b)) + [b + p for p in perm] + [b + n + p for p in perm]
+    t = m.reshape(m.shape[:b] + tuple(dims) * 2).transpose(axes)
     return np.ascontiguousarray(t.reshape(m.shape))
 
 

@@ -282,23 +282,95 @@ class Teleportage:
 # Extraction from channels
 # ----------------------------------------------------------------------------
 
-def _untrusted_bases(
-    ch: Channel, in_bases, out_bases
-) -> tuple[list[np.ndarray], list[np.ndarray], int, int]:
-    untrusted = ch.untrusted
-    m_set = {p.dim_in for p in untrusted}
-    d_set = {p.dim_out for p in untrusted}
-    if len(m_set) != 1 or len(d_set) != 1:
-        raise ValueError("untrusted parties must share input and output dimensions")
-    m, d = m_set.pop(), d_set.pop()
-    n = len(untrusted)
-    if in_bases is None:
-        in_bases = [None] * n
-    if out_bases is None:
-        out_bases = [None] * n
-    ins = [_check_bases(in_bases[k], m, m) for k in range(n)]
-    outs = [_check_bases(out_bases[k], d, d) for k in range(n)]
-    return ins, outs, m, d
+# Every object is one contraction: local preparations go into the channel and
+# local effects act on its outputs.  Only which systems stay quantum differs:
+# auxiliaries, the trusted output, and matrix units in place of states.
+
+def _kron_stacks(stacks: list[np.ndarray]) -> np.ndarray:
+    """Kronecker products of one matrix from each stack, first stack slowest."""
+    out = stacks[0]
+    for s in stacks[1:]:
+        joint = out[:, None, :, None, :, None] * s[None, :, None, :, None, :]
+        d = out.shape[-1] * s.shape[-1]
+        out = joint.reshape(len(out) * len(s), d, d)
+    return out
+
+
+def _extract(
+    ch: Channel,
+    preparations: list[np.ndarray],
+    effects: list[np.ndarray],
+    trusted_prep: np.ndarray | None = None,
+) -> np.ndarray:
+    """``tr_out[(E_a (x) 1) Lambda(rho_x (x) tau)]`` for every joint ``a`` and ``x``.
+
+    ``preparations[k]`` stacks party k's operators on in_k (x) aux_k and
+    ``effects[k]`` its effects on out_k (x) aux_k, auxiliary dimensions read
+    off the shapes; ``tau = trusted_prep`` on B_in (x) B_aux leaves
+    B_out (x) B_aux quantum.  One channel call maps every joint preparation
+    and one ``einsum`` applies every joint effect.  Returns shape
+    ``(n_1..n_N, m_1..m_N, D, D)`` with ``D = 1`` without a trusted party.
+    """
+    stacks = list(preparations) + ([] if trusted_prep is None else [trusted_prep[None]])
+    dims: list[int] = []
+    for p, s in zip(ch.parties, stacks):
+        dims.extend([p.dim_in, s.shape[-1] // p.dim_in])
+    out, _ = ch.apply_to_subsystems(
+        _kron_stacks(stacks), tuple(dims), tuple(range(0, len(dims), 2))
+    )
+    joint_effects = _kron_stacks(effects)
+    d_e = joint_effects.shape[-1]
+    d_b = out.shape[-1] // d_e
+    t = out.reshape(len(out), d_e, d_b, d_e, d_b)
+    table = np.einsum("aqp,xpbqc->axbc", joint_effects, t, optimize=True)
+    shape = tuple(map(len, effects)) + tuple(map(len, preparations)) + (d_b, d_b)
+    return table.reshape(shape)
+
+
+def _families(parties, preparations, povms) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-party preparation and POVM stacks, checked against the parties."""
+    if len(preparations) != len(parties) or len(povms) != len(parties):
+        raise ValueError("need one preparation family and one POVM per party")
+    preps, effects = [], []
+    for p, family, povm in zip(parties, preparations, povms):
+        d_prep = np.shape(family[0])[0]
+        if d_prep % p.dim_in:
+            raise ValueError(f"party {p.label!r}: preparation dim {d_prep} incompatible")
+        if any(np.shape(rho) != (d_prep, d_prep) for rho in family):
+            raise ValueError("inconsistent preparation dimensions")
+        d_eff = p.dim_out * (d_prep // p.dim_in)
+        if any(np.shape(el) != (d_eff, d_eff) for el in povm):
+            raise ValueError(f"party {p.label!r}: POVM dim mismatch")
+        povm = np.asarray(povm, dtype=complex)
+        if frobenius(povm.sum(axis=0) - np.eye(d_eff)) > 1e-8:
+            raise ValueError(f"party {p.label!r}: POVM does not sum to identity")
+        preps.append(np.asarray(family, dtype=complex))
+        effects.append(povm)
+    return preps, effects
+
+
+def _basis_projectors(parties, bases, attr: str) -> list[np.ndarray]:
+    """Per-party stacks of ``|v><v|`` over the rows of ``bases[k]`` (default
+    computational) in the dimension ``attr``, which the parties must share."""
+    dims = {getattr(p, attr) for p in parties}
+    if len(dims) != 1:
+        raise ValueError(f"untrusted parties must share one {attr} for basis extraction")
+    d = dims.pop()
+    if bases is None:
+        bases = [None] * len(parties)
+    rows = [_check_bases(bases[k], d, d) for k in range(len(parties))]
+    return [np.einsum("ki,kj->kij", b, b.conj()) for b in rows]
+
+
+def _trusted_state(trusted, state: np.ndarray | None) -> np.ndarray:
+    """Trusted input as a density matrix; ``|0>`` by default, vectors as projectors."""
+    if state is None:
+        return projector(basis_state(trusted.dim_in, 0))
+    state = np.asarray(state, dtype=complex)
+    state = projector(state) if state.ndim == 1 else state
+    if state.shape != (trusted.dim_in, trusted.dim_in):
+        raise ValueError(f"trusted input of shape {state.shape} != dim {trusted.dim_in}")
+    return state
 
 
 def correlations_from_channel(
@@ -307,15 +379,9 @@ def correlations_from_channel(
     """Bell-scenario table from basis preparations and basis measurements."""
     if ch.trusted_party is not None:
         raise ValueError("channel has a trusted party; extract an assemblage instead")
-    ins, outs, m, d = _untrusted_bases(ch, in_bases, out_bases)
-    n = ch.n_parties
-    table = np.zeros((d,) * n + (m,) * n)
-    for x_vec in product(range(m), repeat=n):
-        rho = kron_all([projector(ins[k][x_vec[k]]) for k in range(n)])
-        out = ch.apply(rho)
-        for a_vec in product(range(d), repeat=n):
-            vec = kron_all([outs[k][a_vec[k]].reshape(-1, 1) for k in range(n)]).reshape(-1)
-            table[a_vec + x_vec] = np.real(vec.conj() @ out @ vec)
+    preps = _basis_projectors(ch.parties, in_bases, "dim_in")
+    povms = _basis_projectors(ch.parties, out_bases, "dim_out")
+    table = correlations_general(ch, preps, povms).table
     return Correlation(np.clip(table, 0.0, None) if table.min() > -1e-12 else table)
 
 
@@ -333,45 +399,8 @@ def correlations_general(
     """
     if ch.trusted_party is not None:
         raise ValueError("channel has a trusted party; use assemblage_general instead")
-    n = ch.n_parties
-    if len(preparations) != n or len(povms) != n:
-        raise ValueError("need one preparation family and one POVM per party")
-    aux_dims = []
-    for k, p in enumerate(ch.parties):
-        d_prep = preparations[k][0].shape[0]
-        if d_prep % p.dim_in:
-            raise ValueError(f"party {p.label!r}: preparation dim {d_prep} incompatible")
-        aux = d_prep // p.dim_in
-        for rho in preparations[k]:
-            if rho.shape != (d_prep, d_prep):
-                raise ValueError("inconsistent preparation dimensions")
-        total = np.zeros((p.dim_out * aux, p.dim_out * aux), dtype=complex)
-        for el in povms[k]:
-            if el.shape != total.shape:
-                raise ValueError(f"party {p.label!r}: POVM dim mismatch")
-            total += el
-        if frobenius(total - np.eye(total.shape[0])) > 1e-8:
-            raise ValueError(f"party {p.label!r}: POVM does not sum to identity")
-        aux_dims.append(aux)
-
-    m = len(preparations[0])
-    d = len(povms[0])
-    table = np.zeros((d,) * n + (m,) * n)
-    # joint state over factors [in_1, aux_1, in_2, aux_2, ...]
-    dims = []
-    for k, p in enumerate(ch.parties):
-        dims.extend([p.dim_in, aux_dims[k]])
-    for x_vec in product(range(m), repeat=n):
-        joint = preparations[0][x_vec[0]]
-        for k in range(1, n):
-            joint = np.kron(joint, preparations[k][x_vec[k]])
-        out, out_dims = ch.apply_to_subsystems(
-            joint, tuple(dims), tuple(2 * k for k in range(n))
-        )
-        for a_vec in product(range(d), repeat=n):
-            effect = kron_all([povms[k][a_vec[k]] for k in range(n)])
-            table[a_vec + x_vec] = np.real(np.trace(effect @ out))
-    return Correlation(table)
+    preps, effects = _families(ch.parties, preparations, povms)
+    return Correlation(np.real(_extract(ch, preps, effects)[..., 0, 0]))
 
 
 def _require_trusted(ch: Channel):
@@ -385,33 +414,10 @@ def assemblage_from_channel(
     ch: Channel, in_bases=None, out_bases=None, trusted_input: np.ndarray | None = None
 ) -> Assemblage:
     """Steering-scenario assemblage; the trusted input defaults to ``|0>``."""
-    trusted = _require_trusted(ch)
-    ins, outs, m, d = _untrusted_bases(ch, in_bases, out_bases)
-    n = len(ch.untrusted)
-    d_b = trusted.dim_out
-    if trusted_input is None:
-        trusted_input = projector(basis_state(trusted.dim_in, 0))
-    else:
-        trusted_input = np.asarray(trusted_input, dtype=complex)
-        if trusted_input.ndim == 1:
-            trusted_input = projector(trusted_input)
-    elements = np.zeros((d,) * n + (m,) * n + (d_b, d_b), dtype=complex)
-    for x_vec in product(range(m), repeat=n):
-        rho = kron_all(
-            [projector(ins[k][x_vec[k]]) for k in range(n)] + [trusted_input]
-        )
-        out = ch.apply(rho)
-        out_t = out.reshape((d,) * n + (d_b,) + (d,) * n + (d_b,))
-        for a_vec in product(range(d), repeat=n):
-            block = out_t
-            for k in range(n):
-                v = outs[k][a_vec[k]]
-                block = np.tensordot(v.conj(), block, axes=(0, 0))
-                block = np.tensordot(v, block, axes=(0, n - k))
-                # axes: contracting row axis then the matching column axis;
-                # after both, block has one row/column pair fewer
-            elements[a_vec + x_vec] = hermitize(block)
-    return Assemblage(elements)
+    trusted_prep = _trusted_state(_require_trusted(ch), trusted_input)
+    preps = _basis_projectors(ch.untrusted, in_bases, "dim_in")
+    povms = _basis_projectors(ch.untrusted, out_bases, "dim_out")
+    return assemblage_general(ch, preps, povms, trusted_prep)
 
 
 def assemblage_general(
@@ -427,82 +433,44 @@ def assemblage_general(
     B_out (x) B_aux.
     """
     trusted = _require_trusted(ch)
-    n = len(ch.untrusted)
-    if len(preparations) != n or len(povms) != n:
-        raise ValueError("need one preparation family and one POVM per untrusted party")
+    preps, effects = _families(ch.untrusted, preparations, povms)
     if trusted_prep is None:
         trusted_prep = projector(basis_state(trusted.dim_in, 0))
     trusted_prep = np.asarray(trusted_prep, dtype=complex)
     if trusted_prep.shape[0] % trusted.dim_in:
         raise ValueError("trusted preparation incompatible with the trusted input")
-    b_aux = trusted_prep.shape[0] // trusted.dim_in
+    return Assemblage(hermitize(_extract(ch, preps, effects, trusted_prep)))
 
-    aux_dims = []
-    for k, p in enumerate(ch.untrusted):
-        aux_dims.append(preparations[k][0].shape[0] // p.dim_in)
-    m = len(preparations[0])
-    d = len(povms[0])
-    d_block = trusted.dim_out * b_aux
 
-    dims = []
-    for k, p in enumerate(ch.untrusted):
-        dims.extend([p.dim_in, aux_dims[k]])
-    dims.extend([trusted.dim_in, b_aux])
-    positions = tuple([2 * k for k in range(n)] + [2 * n])
+def _instrument_blocks(
+    ch: Channel, out_bases, trusted_prep: np.ndarray | None
+) -> np.ndarray:
+    """``J_a[(s,b),(t,b')] = tr_out[(E_a (x) 1) Lambda(|s><t| (x) tau)][b,b']``.
 
-    elements = np.zeros((d,) * n + (m,) * n + (d_block, d_block), dtype=complex)
-    for x_vec in product(range(m), repeat=n):
-        joint = preparations[0][x_vec[0]]
-        for k in range(1, n):
-            joint = np.kron(joint, preparations[k][x_vec[k]])
-        joint = np.kron(joint, trusted_prep)
-        out, out_dims = ch.apply_to_subsystems(joint, tuple(dims), positions)
-        # factors now: [out_1, aux_1, ..., out_n, aux_n, B_out, B_aux]
-        n_f = len(out_dims)
-        t = out.reshape(tuple(out_dims) + tuple(out_dims))
-        for a_vec in product(range(d), repeat=n):
-            effect = kron_all([povms[k][a_vec[k]] for k in range(n)])
-            eff_dims = []
-            for k in range(n):
-                eff_dims.extend([out_dims[2 * k], out_dims[2 * k + 1]])
-            d_eff = int(np.prod(eff_dims))
-            e_t = effect.reshape(tuple(eff_dims) + tuple(eff_dims))
-            # tr_{1..N}[ (E (x) 1_B) out ]: contract E's column axes with out's
-            # row axes and E's row axes with out's column axes.
-            block = np.einsum(
-                e_t,
-                list(range(2 * n)) + list(range(2 * n + 2, 4 * n + 2)),
-                t,
-                list(range(2 * n + 2, 4 * n + 2))
-                + [4 * n + 2, 4 * n + 3]
-                + list(range(2 * n))
-                + [4 * n + 4, 4 * n + 5],
-                [4 * n + 2, 4 * n + 3, 4 * n + 4, 4 * n + 5],
-                optimize=True,
-            )
-            elements[a_vec + x_vec] = hermitize(block.reshape(d_block, d_block))
-    return Assemblage(elements)
+    The joint matrix units ``|s><t|`` on the untrusted inputs are products of
+    local ones, so they enter the kernel as per-party preparation stacks.
+    """
+    parties = ch.untrusted
+    n, d_in = len(parties), [p.dim_in for p in parties]
+    units = [np.eye(d * d, dtype=complex).reshape(d * d, d, d) for d in d_in]
+    povms = _basis_projectors(parties, out_bases, "dim_out")
+    out = _extract(ch, units, povms, trusted_prep)
+    d_b = out.shape[-1]
+    out = out.reshape(out.shape[:n] + tuple(np.repeat(d_in, 2)) + (d_b, d_b))
+    s_axes, t_axes = list(range(n, 3 * n, 2)), list(range(n + 1, 3 * n, 2))
+    out = out.transpose(list(range(n)) + s_axes + [3 * n] + t_axes + [3 * n + 1])
+    d_tot = int(np.prod(d_in)) * d_b
+    return out.reshape(out.shape[:n] + (d_tot, d_tot))
 
 
 def distributed_measurement_from_channel(
     ch: Channel, out_bases=None
 ) -> DistributedMeasurement:
-    """POVM elements via the dual channel: ``M_a = dual(|a><a| tensor ...)``."""
+    """POVM elements ``M_a[t,s] = tr[E_a Lambda(|s><t|)]`` on the joint input."""
     if ch.trusted_party is not None:
         raise ValueError("channel has a trusted party; extract a teleportage instead")
-    d_set = {p.dim_out for p in ch.parties}
-    if len(d_set) != 1:
-        raise ValueError("classical output registers must share one dimension")
-    d = d_set.pop()
-    n = ch.n_parties
-    if out_bases is None:
-        out_bases = [None] * n
-    outs = [_check_bases(out_bases[k], d, d) for k in range(n)]
-    elements = np.zeros((d,) * n + (ch.dim_in, ch.dim_in), dtype=complex)
-    for a_vec in product(range(d), repeat=n):
-        effect = kron_all([projector(outs[k][a_vec[k]]) for k in range(n)])
-        elements[a_vec] = hermitize(ch.dual_apply(effect))
-    return DistributedMeasurement(elements, ch.dims_in)
+    blocks = _instrument_blocks(ch, out_bases, None)
+    return DistributedMeasurement(hermitize(np.swapaxes(blocks, -1, -2)), ch.dims_in)
 
 
 def teleportage_from_channel(
@@ -510,42 +478,8 @@ def teleportage_from_channel(
 ) -> Teleportage:
     """Instrument blocks from channel evaluation on a matrix-unit input basis."""
     trusted = _require_trusted(ch)
-    untrusted = ch.untrusted
-    d_set = {p.dim_out for p in untrusted}
-    if len(d_set) != 1:
-        raise ValueError("classical output registers must share one dimension")
-    d = d_set.pop()
-    n = len(untrusted)
-    if out_bases is None:
-        out_bases = [None] * n
-    outs = [_check_bases(out_bases[k], d, d) for k in range(n)]
-    if trusted_input is None:
-        trusted_input = projector(basis_state(trusted.dim_in, 0))
-    else:
-        trusted_input = np.asarray(trusted_input, dtype=complex)
-        if trusted_input.ndim == 1:
-            trusted_input = projector(trusted_input)
-
-    d_in = int(np.prod([p.dim_in for p in untrusted]))
-    d_b = trusted.dim_out
-    blocks = np.zeros((d,) * n + (d_in * d_b, d_in * d_b), dtype=complex)
-    out_dims = [d] * n + [d_b]
-    for s in range(d_in):
-        for t in range(d_in):
-            unit = np.zeros((d_in, d_in), dtype=complex)
-            unit[s, t] = 1.0
-            out = ch.apply(np.kron(unit, trusted_input))
-            o_t = out.reshape(tuple(out_dims) + tuple(out_dims))
-            for a_vec in product(range(d), repeat=n):
-                block = o_t
-                for k in range(n):
-                    v = outs[k][a_vec[k]]
-                    block = np.tensordot(v.conj(), block, axes=(0, 0))
-                    block = np.tensordot(v, block, axes=(0, n - k))
-                # block is now T_a(|s><t|) on the trusted output
-                view = blocks[a_vec].reshape(d_in, d_b, d_in, d_b)
-                view[s, :, t, :] = block
-    return Teleportage(blocks, tuple(p.dim_in for p in untrusted), d_b)
+    blocks = _instrument_blocks(ch, out_bases, _trusted_state(trusted, trusted_input))
+    return Teleportage(blocks, tuple(p.dim_in for p in ch.untrusted), trusted.dim_out)
 
 
 # ----------------------------------------------------------------------------

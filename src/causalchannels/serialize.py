@@ -156,7 +156,10 @@ def _bulk_pairs(value, ndim: int) -> np.ndarray | None:
 def _decode_complex(value, path: str) -> complex:
     if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
         raise DocumentError(path, "complex entries must be [re, im] number pairs")
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError:  # an integer literal beyond float range
+        raise DocumentError(path, "number out of float range") from None
 
 
 def _decode_matrix(value, path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
@@ -296,10 +299,11 @@ def _circuit_from_payload(payload: dict, path: str) -> CircuitChannel:
         )
     prep_spec = _field(payload, "ancilla_prep", dict, path)
     form = _field(prep_spec, "form", str, f"{path}.ancilla_prep")
+    entries = _field(prep_spec, "entries", object, f"{path}.ancilla_prep")
     if form == "vector":
-        prep = _decode_vector(prep_spec["entries"], f"{path}.ancilla_prep.entries")
+        prep = _decode_vector(entries, f"{path}.ancilla_prep.entries")
     elif form == "matrix":
-        prep = _decode_matrix(prep_spec["entries"], f"{path}.ancilla_prep.entries")
+        prep = _decode_matrix(entries, f"{path}.ancilla_prep.entries")
     else:
         raise DocumentError(f"{path}.ancilla_prep.form", f"unknown form {form!r}")
     gates = []
@@ -347,6 +351,8 @@ def _correlation_from_payload(payload: dict, path: str) -> Correlation:
             table[a_vec + x_vec] = float(value)
         except IndexError:
             raise DocumentError(f"{path}.entries[{key!r}]", "index out of range") from None
+        except OverflowError:
+            raise DocumentError(f"{path}.entries[{key!r}]", "number out of float range") from None
     try:
         c = Correlation(table)
         c.validate(1e-7)

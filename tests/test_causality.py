@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalchannels import (
     Party,
@@ -10,7 +12,11 @@ from causalchannels import (
     signalling_witness,
 )
 from causalchannels.channels import channel_from_unitary, identity_channel
-from causalchannels.sampling import random_local_circuit, random_unitary
+from causalchannels.sampling import (
+    random_local_circuit,
+    random_localizable_channel,
+    random_unitary,
+)
 from causalchannels import compile_circuit
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -146,6 +152,39 @@ class TestSignallingWitness:
         rep = is_causal(ch)
         assert not rep.check(("A",), ("B", "C")).semicausal
         assert signalling_witness(ch, "A", ("B", "C")) > 0.1
+
+
+def _drawn_channel(kind: str, seed: int):
+    rng = np.random.default_rng(seed)
+    if kind == "localizable":
+        return random_localizable_channel(rng, n_parties=int(rng.integers(2, 4)))
+    if kind == "product-unitary":
+        u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+    else:
+        u = random_unitary(rng, 4)
+    return channel_from_unitary(u, (Party("A", 2, 2), Party("B", 2, 2)))
+
+
+class TestWitnessAgreesWithChoiProperty:
+    """The Choi condition and the operational witness on drawn channels:
+    an accepted cut cannot signal, and a cut that signals is rejected."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["localizable", "product-unitary", "unitary"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_both_directions(self, kind, seed):
+        ch = _drawn_channel(kind, seed)
+        labels = [p.label for p in ch.parties]
+        for sender in labels:
+            receivers = tuple(lab for lab in labels if lab != sender)
+            accepted, _, _ = is_semicausal(ch, (sender,), receivers)
+            witness = signalling_witness(ch, sender, receivers)
+            if accepted:
+                assert witness < 1e-7
+            if witness > 1e-6:
+                assert not accepted
 
 
 class TestDilationOrdering:

@@ -24,11 +24,14 @@ from causalchannels import (
     lhv_membership,
     teleportage_from_channel,
 )
+from causalchannels import channels
 from causalchannels.channels import (
+    Channel,
     CircuitChannel,
     CircuitGate,
     CircuitParty,
     channel_from_unitary,
+    kraus_from_choi,
 )
 from causalchannels.constructions import (
     CNOT,
@@ -46,9 +49,11 @@ from causalchannels.linalg import (
 )
 from causalchannels.sampling import (
     random_density,
+    random_local_circuit,
     random_localizable_channel,
     random_povm,
     random_pure_state,
+    random_unitary,
 )
 from conftest import pr_table
 
@@ -575,3 +580,197 @@ class TestCausalChannelsGiveNonsignallingObjects:
             c = correlations_from_channel(ch)
             ok, res = is_nonsignalling_correlation(c, tol=1e-7)
             assert ok, res
+
+
+# ----------------------------------------------------------------------------
+# The one extraction kernel against the per-input loops it replaced
+# ----------------------------------------------------------------------------
+
+def _ref_correlations(ch, ins, outs):
+    """Per-input ``apply`` loop; ``ins``/``outs`` hold basis rows per party."""
+    n, m, d = ch.n_parties, len(ins[0]), len(outs[0])
+    table = np.zeros((d,) * n + (m,) * n)
+    for x_vec in product(range(m), repeat=n):
+        out = ch.apply(kron_all([projector(ins[k][x_vec[k]]) for k in range(n)]))
+        for a_vec in product(range(d), repeat=n):
+            vec = kron_all([outs[k][a_vec[k]].reshape(-1, 1) for k in range(n)]).reshape(-1)
+            table[a_vec + x_vec] = np.real(vec.conj() @ out @ vec)
+    return table
+
+
+def _ref_assemblage(ch, ins, outs, trusted_input):
+    """Per-input ``apply`` loop with ``tensordot`` per outcome."""
+    n, m, d = len(ch.untrusted), len(ins[0]), len(outs[0])
+    d_b = ch.trusted_party.dim_out
+    elements = np.zeros((d,) * n + (m,) * n + (d_b, d_b), dtype=complex)
+    for x_vec in product(range(m), repeat=n):
+        out = ch.apply(kron_all([projector(ins[k][x_vec[k]]) for k in range(n)] + [trusted_input]))
+        out_t = out.reshape((d,) * n + (d_b,) + (d,) * n + (d_b,))
+        for a_vec in product(range(d), repeat=n):
+            block = out_t
+            for k in range(n):
+                v = outs[k][a_vec[k]]
+                block = np.tensordot(v.conj(), block, axes=(0, 0))
+                block = np.tensordot(v, block, axes=(0, n - k))
+            elements[a_vec + x_vec] = (block + block.conj().T) / 2
+    return elements
+
+
+def _ref_general(ch, preparations, povms, trusted_prep=None):
+    """Per-input ``apply_to_subsystems`` loop with one ``einsum`` per outcome."""
+    parties = ch.untrusted
+    n, m, d = len(parties), len(preparations[0]), len(povms[0])
+    dims = []
+    for k, p in enumerate(parties):
+        dims.extend([p.dim_in, preparations[k][0].shape[0] // p.dim_in])
+    if trusted_prep is not None:
+        dims.extend([ch.trusted_party.dim_in, trusted_prep.shape[0] // ch.trusted_party.dim_in])
+    positions = tuple(range(0, len(dims), 2))
+    d_b = 1 if trusted_prep is None else ch.trusted_party.dim_out * dims[-1]
+    elements = np.zeros((d,) * n + (m,) * n + (d_b, d_b), dtype=complex)
+    for x_vec in product(range(m), repeat=n):
+        joint = kron_all([preparations[k][x_vec[k]] for k in range(n)])
+        if trusted_prep is not None:
+            joint = np.kron(joint, trusted_prep)
+        out, _ = ch.apply_to_subsystems(joint, tuple(dims), positions)
+        d_e = out.shape[0] // d_b
+        t = out.reshape(d_e, d_b, d_e, d_b)
+        for a_vec in product(range(d), repeat=n):
+            effect = kron_all([povms[k][a_vec[k]] for k in range(n)])
+            elements[a_vec + x_vec] = np.einsum("qp,pbqc->bc", effect, t)
+    return elements
+
+
+def _ref_measurement(ch, outs):
+    """``dual_apply`` per outcome."""
+    n, d = ch.n_parties, len(outs[0])
+    elements = np.zeros((d,) * n + (ch.dim_in, ch.dim_in), dtype=complex)
+    for a_vec in product(range(d), repeat=n):
+        m = ch.dual_apply(kron_all([projector(outs[k][a_vec[k]]) for k in range(n)]))
+        elements[a_vec] = (m + m.conj().T) / 2
+    return elements
+
+
+def _ref_teleportage(ch, outs, trusted_input):
+    """Per-matrix-unit ``apply`` loop with ``tensordot`` per outcome."""
+    untrusted = ch.untrusted
+    n, d = len(untrusted), len(outs[0])
+    d_in = int(np.prod([p.dim_in for p in untrusted]))
+    d_b = ch.trusted_party.dim_out
+    blocks = np.zeros((d,) * n + (d_in * d_b, d_in * d_b), dtype=complex)
+    for s in range(d_in):
+        for t in range(d_in):
+            unit = np.zeros((d_in, d_in), dtype=complex)
+            unit[s, t] = 1.0
+            o_t = ch.apply(np.kron(unit, trusted_input)).reshape(((d,) * n + (d_b,)) * 2)
+            for a_vec in product(range(d), repeat=n):
+                block = o_t
+                for k in range(n):
+                    v = outs[k][a_vec[k]]
+                    block = np.tensordot(v.conj(), block, axes=(0, 0))
+                    block = np.tensordot(v, block, axes=(0, n - k))
+                blocks[a_vec].reshape(d_in, d_b, d_in, d_b)[s, :, t, :] = block
+    return blocks
+
+
+def _bases(rng, n, dim):
+    return [random_unitary(rng, dim) for _ in range(n)]
+
+
+def _trusted_channel(trusted_dim):
+    rng = np.random.default_rng(40 + trusted_dim)
+    return compile_circuit(random_local_circuit(rng, trusted_dim=trusted_dim))
+
+
+KERNEL_TOL = 1e-12
+
+
+class TestOneKernel:
+    @pytest.mark.parametrize("n_parties", [2, 3])
+    def test_bell_and_buscemi_objects(self, n_parties):
+        rng = np.random.default_rng(20 + n_parties)
+        ch = random_localizable_channel(rng, n_parties=n_parties)
+        eye = [np.eye(2, dtype=complex)] * n_parties
+        for ins, outs in ((None, None), (_bases(rng, n_parties, 2), _bases(rng, n_parties, 2))):
+            got = correlations_from_channel(ch, ins, outs).table
+            ref = _ref_correlations(ch, ins or eye, outs or eye)
+            assert np.max(np.abs(got - ref)) < KERNEL_TOL
+            got = distributed_measurement_from_channel(ch, outs).elements
+            assert np.max(np.abs(got - _ref_measurement(ch, outs or eye))) < KERNEL_TOL
+        preps = [[random_density(rng, 4) for _ in range(2)] for _ in range(n_parties)]
+        povms = [random_povm(rng, 4, 2) for _ in range(n_parties)]
+        got = correlations_general(ch, preps, povms).table
+        ref = _ref_general(ch, preps, povms)[..., 0, 0].real
+        assert np.max(np.abs(got - ref)) < KERNEL_TOL
+
+    @pytest.mark.parametrize("trusted_dim", [2, 3])
+    def test_steering_and_teleportation_objects(self, trusted_dim):
+        rng = np.random.default_rng(30 + trusted_dim)
+        ch = _trusted_channel(trusted_dim)
+        zero = projector(basis_state(trusted_dim, 0))
+        tilted = random_pure_state(rng, trusted_dim)
+        eye = [np.eye(2, dtype=complex)] * 2
+        for ins, outs, vec in ((None, None, None), (_bases(rng, 2, 2), _bases(rng, 2, 2), tilted)):
+            tau = zero if vec is None else projector(vec)
+            got = assemblage_from_channel(ch, ins, outs, vec).elements
+            ref = _ref_assemblage(ch, ins or eye, outs or eye, tau)
+            assert np.max(np.abs(got - ref)) < KERNEL_TOL
+            got = teleportage_from_channel(ch, outs, vec).blocks
+            assert np.max(np.abs(got - _ref_teleportage(ch, outs or eye, tau))) < KERNEL_TOL
+        preps = [[random_density(rng, 4) for _ in range(2)] for _ in range(2)]
+        povms = [random_povm(rng, 4, 2) for _ in range(2)]
+        trusted_prep = random_density(rng, 2 * trusted_dim)
+        got = assemblage_general(ch, preps, povms, trusted_prep).elements
+        ref = _ref_general(ch, preps, povms, trusted_prep)
+        ref = (ref + np.conj(np.swapaxes(ref, -1, -2))) / 2
+        assert np.max(np.abs(got - ref)) < KERNEL_TOL
+
+    def test_one_channel_call_per_extraction(self, monkeypatch, pr_channel, pq_pr_channel):
+        calls = []
+
+        def counted(name, method):
+            def wrapper(self, *args):
+                calls.append(name)
+                return method(self, *args)
+            return wrapper
+
+        for name in ("apply", "dual_apply", "apply_to_subsystems"):
+            monkeypatch.setattr(Channel, name, counted(name, getattr(Channel, name)))
+        preps = [[projector(basis_state(2, x)) for x in range(2)] for _ in range(2)]
+        povms = [[projector(basis_state(2, a)) for a in range(2)] for _ in range(2)]
+        extractions = [
+            lambda: correlations_from_channel(pr_channel),
+            lambda: correlations_general(pr_channel, preps, povms),
+            lambda: distributed_measurement_from_channel(pr_channel),
+            lambda: assemblage_from_channel(pq_pr_channel),
+            lambda: assemblage_general(pq_pr_channel, preps, povms),
+            lambda: teleportage_from_channel(pq_pr_channel),
+        ]
+        for extract in extractions:
+            calls.clear()
+            extract()
+            assert calls == ["apply_to_subsystems"]
+
+    def test_choi_is_read_only(self, pr_channel):
+        with pytest.raises(ValueError):
+            pr_channel.choi[0, 0] = 1
+
+    def test_choi_grouped_once_per_channel(self, monkeypatch, pr_channel):
+        ch = Channel(pr_channel.parties, pr_channel.choi)
+        groupings = []
+        original = channels.permute_subsystems_dims
+
+        def counting(m, dims, perm):
+            if m is ch.choi:
+                groupings.append(tuple(perm))
+            return original(m, dims, perm)
+
+        monkeypatch.setattr(channels, "permute_subsystems_dims", counting)
+        rho = projector(basis_state(ch.dim_in, 1))
+        first = ch.apply(rho)
+        for _ in range(3):
+            assert np.array_equal(ch.apply(rho), first)
+        ch.dual_apply(np.eye(ch.dim_out))
+        ch.apply_to_subsystems(rho, ch.dims_in, (0, 1))
+        kraus_from_choi(ch)
+        assert len(groupings) == 1

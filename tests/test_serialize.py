@@ -153,6 +153,10 @@ def _assemblage_doc() -> dict:
     return json.loads(serialize(assemblage_from_channel(channel)))
 
 
+def _correlation_doc() -> dict:
+    return json.loads(serialize(Correlation(pr_table())))
+
+
 def _set(*path):
     """Mutation setting ``payload[path[0]]...[path[-2]]`` to ``path[-1]``."""
     *keys, value = path
@@ -224,6 +228,18 @@ ERROR_CASES = {
         _circuit_doc, _set("gates", 0, "unitary", 0, 0, [1.0, 0.0, 0.0]),
         "$.payload.gates[0].unitary[0][0]", _PAIRS,
     ),
+    "missing-prep-entries": (
+        _circuit_doc, lambda d: d["payload"]["ancilla_prep"].pop("entries"),
+        "$.payload.ancilla_prep", "missing field 'entries'",
+    ),
+    "huge-integer-entry": (
+        _choi_doc, _set("choi", 0, 0, [10**400, 0]), "$.payload.choi[0][0]",
+        "number out of float range",
+    ),
+    "huge-integer-probability": (
+        _correlation_doc, _set("entries", _KEY, 10**400), f"$.payload.entries[{_KEY!r}]",
+        "number out of float range",
+    ),
 }
 
 
@@ -237,6 +253,15 @@ class TestErrorPaths:
             parse(json.dumps(doc))
         assert info.value.path == path
         assert str(info.value) == f"{path}: {message}"
+
+    def test_in_range_integers_accepted(self):
+        doc = _choi_doc()
+        doc["payload"]["choi"][0][1] = [0, 0]
+        assert np.array_equal(parse(json.dumps(doc)).choi, identity_channel((2,)).choi)
+        doc = _correlation_doc()
+        doc["payload"]["entries"][_KEY] = 0
+        doc["payload"]["entries"]["x=000,000|a=001,001"] = 1
+        assert parse(json.dumps(doc)).prob((1, 1), (0, 0)) == 1.0
 
 
 class TestBooleansAreNotNumbers:
