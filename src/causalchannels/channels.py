@@ -150,6 +150,8 @@ class Channel:
         return neg, tp
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
+        if not np.isfinite(self.choi).all():
+            raise ValueError("choi entries must be finite")
         neg, tp = self.validity_residuals()
         if neg > tol:
             raise ValueError(f"choi is not PSD: min eigenvalue -{neg:.3e}")
@@ -418,6 +420,8 @@ class CircuitChannel:
                 seen_outputs.add(reg)
         anc_dim = self.registers.dim_of(self.ancilla_registers)
         prep = np.asarray(self.ancilla_prep)
+        if not np.isfinite(prep).all():
+            raise ValueError("ancilla_prep entries must be finite")
         if prep.ndim == 1:
             if prep.shape != (anc_dim,):
                 raise ValueError(

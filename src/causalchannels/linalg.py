@@ -122,11 +122,6 @@ def max_entangled(dim: int) -> np.ndarray:
     return v / np.sqrt(dim)
 
 
-def computational_basis(dim: int) -> np.ndarray:
-    """Rows are the computational basis vectors, shape ``(dim, dim)``."""
-    return np.eye(dim, dtype=complex)
-
-
 # ----------------------------------------------------------------------------
 # Partial trace and permutations
 # ----------------------------------------------------------------------------
@@ -215,12 +210,6 @@ def permute_subsystems_dims(
     axes = list(range(b)) + [b + p for p in perm] + [b + n + p for p in perm]
     t = m.reshape(m.shape[:b] + tuple(dims) * 2).transpose(axes)
     return np.ascontiguousarray(t.reshape(m.shape))
-
-
-def permute_subsystems(
-    m: np.ndarray, layout: SystemLayout, new_order: Sequence[str]
-) -> np.ndarray:
-    return permute_subsystems_dims(m, layout.dims, layout.indices(new_order))
 
 
 def embed_operator(

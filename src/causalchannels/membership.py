@@ -7,7 +7,14 @@ feasibility problems, solved by alternating projections between the PSD
 cone and an affine constraint set.  The iterate is one ``(k, d, d)`` stack
 of complex blocks (k hidden states for LHS, one moment matrix for
 almost-quantum), so each iteration is a few array operations: a batched
-Hermitian ``eigh`` and a precomputed affine projection.
+Hermitian ``eigh`` and a precomputed affine projection.  For LHS the
+constraints are the 0/1 strategy matrix ``F`` (cells x strategies) acting on
+the stack axis, so the affine step is ``X - F^+ (F X - sigma)`` with the
+pseudo-inverse of ``F`` alone.  A feasible LHS model certifies almost-quantum
+membership through the moment matrix
+``Gamma_{u,v} = sum_lam chi_u(lam) chi_v(lam) P(sigma_lam)``, with
+``chi_w(lam)`` the indicator that strategy ``lam`` answers every entry of
+word ``w`` and ``P`` the projection onto the PSD cone.
 
 Alternating projections cannot *prove* infeasibility: the
 ``numerically-infeasible`` verdict is a stalled-residual heuristic and is
@@ -212,33 +219,26 @@ def project_psd_cone(m: np.ndarray) -> np.ndarray:
 
 
 class AffineConstraints:
-    """Least-norm projection onto ``{X : A vec(X) = b}`` for a complex stack.
+    """Least-norm projection onto the LHS constraint set of a hidden-state stack.
 
-    ``X`` has shape ``(k, r, c)``; ``vec`` is block-major and realified (each
-    block contributes its real part, then its imaginary part, row-major).
-    The projection uses a precomputed pseudo-inverse.
+    The constraints ``sum_lam f[c, lam] X[lam] = targets[c]`` act on the
+    stack axis of ``X`` only: as a map on the stack they are ``f (x) 1``,
+    whose pseudo-inverse is ``pinv(f) (x) 1``.  So the projection
+    ``X - f^+ (f X - targets)`` needs only the small real ``f``
+    (cells x strategies) and its precomputed pseudo-inverse.
     """
 
-    def __init__(self, a: np.ndarray, rhs: np.ndarray, shape: tuple[int, int, int]):
-        self.shape = shape
-        self._a = a
-        self._rhs_vec = rhs
-        self._pinv = np.linalg.pinv(a, rcond=1e-12)
-        least = self._pinv @ rhs
-        if np.max(np.abs(a @ least - rhs)) > 1e-7:
+    def __init__(self, f: np.ndarray, targets: np.ndarray):
+        self._f = f
+        self._targets = targets
+        self._pinv = np.linalg.pinv(f, rcond=1e-12)
+        least = np.tensordot(self._pinv, targets, axes=(1, 0))
+        if np.max(np.abs(np.tensordot(f, least, axes=(1, 0)) - targets)) > 1e-7:
             raise ValueError("affine constraint system is inconsistent")
 
-    def vectorize(self, blocks: np.ndarray) -> np.ndarray:
-        return np.stack([blocks.real, blocks.imag], axis=1).reshape(-1)
-
-    def devectorize(self, x: np.ndarray) -> np.ndarray:
-        parts = x.reshape(self.shape[0], 2, *self.shape[1:])
-        return parts[:, 0] + 1j * parts[:, 1]
-
     def project(self, blocks: np.ndarray) -> np.ndarray:
-        x = self.vectorize(blocks)
-        x = x - self._pinv @ (self._a @ x - self._rhs_vec)
-        return self.devectorize(x)
+        excess = np.tensordot(self._f, blocks, axes=(1, 0)) - self._targets
+        return blocks - np.tensordot(self._pinv, excess, axes=(1, 0))
 
 
 def alternating_feasibility(
@@ -297,16 +297,7 @@ def lhs_membership(
     table = strategy_table(n, m, d, cap)
     n_strat = table.shape[0]
     flat = table.reshape(n_strat, -1)  # [lam, (a_vec, x_vec)]
-
-    # one row per (cell, i, j, re|im): the sum over the strategies that
-    # produce the cell of that coordinate of their hidden states
-    n_cells = flat.shape[1]
-    eye_b, eye_2 = np.eye(d_b), np.eye(2)
-    a_mat = np.einsum("lc,ip,jq,ts->cijtlspq", flat, eye_b, eye_b, eye_2)
-    a_mat = a_mat.reshape(n_cells * d_b * d_b * 2, -1)
-    targets = a.elements.reshape(n_cells, d_b, d_b)
-    rhs = np.stack([targets.real, targets.imag], axis=-1).reshape(-1)
-    cons = AffineConstraints(a_mat, rhs, (n_strat, d_b, d_b))
+    cons = AffineConstraints(flat.T, a.elements.reshape(flat.shape[1], d_b, d_b))
 
     init = np.repeat(a.reduced_state()[None] / n_strat, n_strat, axis=0)
     report, blocks = alternating_feasibility(init, cons, tol, max_iter)
@@ -675,47 +666,29 @@ def moment_matrix_from_realization(
 def moment_matrix_from_lhs_model(
     a: Assemblage, states: np.ndarray
 ) -> MomentMatrix:
-    """Certificate moment matrix from an LHS decomposition ``{sigma_lam}``."""
+    """Certificate moment matrix from an LHS decomposition ``{sigma_lam}``.
+
+    ``Gamma_{u,v} = sum_lam chi_u(lam) chi_v(lam) P(sigma_lam)``, where
+    ``chi_w(lam)`` is 1 when strategy ``lam`` answers every entry of word
+    ``w`` and ``P`` is the projection onto the PSD cone.  This is the Gram
+    matrix of the realization with projectors ``diag(chi) (x) 1`` on the
+    hidden-state stack, so it is PSD and meets every moment condition.
+    """
     n, m, d, d_b = a.n_untrusted, a.n_inputs, a.n_outputs, a.trusted_dim
-    single = enumerate_strategies(m, d)
-    joints = list(product(single, repeat=n))
-    n_strat = len(joints)
+    single = np.array(enumerate_strategies(m, d))
+    n_strat = len(single) ** n
     if len(states) != n_strat:
         raise ValueError("one hidden state per joint deterministic strategy required")
-    kdim = n_strat * d_b
-    psi = np.zeros((kdim, d_b), dtype=complex)
-    projectors: dict[tuple[int, int, int], np.ndarray] = {}
-    for k in range(n):
-        for x in range(m):
-            for out in range(d):
-                diag = np.zeros(n_strat)
-                for lam, joint in enumerate(joints):
-                    if joint[k][x] == out:
-                        diag[lam] = 1.0
-                projectors[(k, out, x)] = np.kron(np.diag(diag), np.eye(d_b)).astype(
-                    complex
-                )
-    for lam in range(n_strat):
-        root = _psd_sqrt(states[lam])
-        for i in range(d_b):
-            for j in range(d_b):
-                psi[lam * d_b + i, j] = root[j, i]
-    r = ProjectiveRealization(
-        state=psi.reshape(-1),
-        projectors=projectors,
-        n_parties=n,
-        n_inputs=m,
-        n_outputs=d,
-        kdim=kdim,
-        trusted_dim=d_b,
-    )
-    return moment_matrix_from_realization(r)
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(hermitize(m))
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    # answers[k, lam, x]: party k's outcome on input x under joint strategy lam
+    answers = single[np.indices((len(single),) * n).reshape(n, -1)]
+    sk = build_moment_skeleton(n, m, d, d_b)
+    chi = np.ones((sk.n_words, n_strat))
+    for w, word in enumerate(sk.words):
+        for p, out, x in word:
+            chi[w] *= answers[p, :, x] == out
+    psd = project_psd_cone(np.asarray(states, dtype=complex))
+    gamma = np.einsum("ul,vl,lij->uivj", chi, chi, psd)
+    return MomentMatrix(sk, gamma.reshape(sk.flat_dim, sk.flat_dim))
 
 
 def gram_realization(

@@ -21,6 +21,7 @@ from .channels import Channel
 from .linalg import (
     DEFAULT_TOL,
     basis_state,
+    embed_operator,
     frobenius,
     hermitize,
     kron_all,
@@ -79,6 +80,8 @@ class Correlation:
         return float(self.table[tuple(outcomes) + tuple(inputs)])
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
+        if not np.isfinite(self.table).all():
+            raise ValueError("probabilities must be finite")
         if self.table.min() < -1e-12:
             raise ValueError(f"negative probability {self.table.min():.3e}")
         sums = self.table.sum(axis=tuple(range(self.n_parties)))
@@ -144,6 +147,8 @@ class Assemblage:
         return summed.mean(axis=tuple(range(n)))
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
+        if not np.isfinite(self.elements).all():
+            raise ValueError("element entries must be finite")
         n, d, m = self.n_untrusted, self.n_outputs, self.n_inputs
         for a_vec in product(range(d), repeat=n):
             for x_vec in product(range(m), repeat=n):
@@ -196,6 +201,8 @@ class DistributedMeasurement:
         return self.elements[tuple(outcomes)]
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
+        if not np.isfinite(self.elements).all():
+            raise ValueError("element entries must be finite")
         n, d = self.n_parties, self.n_outputs
         total = np.zeros(self.elements.shape[-2:], dtype=complex)
         for a_vec in product(range(d), repeat=n):
@@ -268,6 +275,8 @@ class Teleportage:
         return total
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
+        if not np.isfinite(self.blocks).all():
+            raise ValueError("block entries must be finite")
         n, d = self.n_parties, self.n_outputs
         for a_vec in product(range(d), repeat=n):
             if min_eig(self.block(a_vec)) < -PSD_CLAMP:
@@ -543,15 +552,9 @@ def is_nonsignalling_distributed_measurement(
         for a_keep in product(range(d), repeat=len(keep)):
             block = marg[a_keep]
             candidate = partial_trace_dims(block, dims, keep) / d_drop
-            target = _embed_povm(candidate, dims, keep)
+            target = embed_operator(candidate, dims, keep)
             worst = max(worst, frobenius(block - target))
     return worst < tol, worst
-
-
-def _embed_povm(op: np.ndarray, dims: list[int], keep: tuple[int, ...]) -> np.ndarray:
-    from .linalg import embed_operator
-
-    return embed_operator(op, dims, list(keep))
 
 
 def is_nonsignalling_teleportage(
@@ -575,7 +578,7 @@ def is_nonsignalling_teleportage(
         for a_keep in product(range(d), repeat=len(keep)):
             block = marg[a_keep]
             candidate = partial_trace_dims(block, full_dims, keep_full) / d_drop
-            target = _embed_povm(candidate, full_dims, tuple(keep_full))
+            target = embed_operator(candidate, full_dims, keep_full)
             worst = max(worst, frobenius(block - target))
     return worst < tol, worst
 

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalchannels import (
     Assemblage,
@@ -21,7 +23,7 @@ from causalchannels import (
     moment_matrix_from_realization,
     tsirelson_witness,
 )
-from causalchannels.constructions import PAULI_X, PAULI_Z
+from causalchannels.constructions import PAULI_X, PAULI_Z, ProjectiveRealization
 from causalchannels.linalg import max_entangled, partial_trace_dims, projector
 from causalchannels.sampling import random_density
 from causalchannels import membership
@@ -42,6 +44,28 @@ from causalchannels.membership import (
 from conftest import pr_table
 
 RT2 = np.sqrt(2.0)
+HALF = np.eye(2) / 2
+
+
+def pr_mixture(v: float, m: int = 2, d: int = 2) -> np.ndarray:
+    """``v PR + (1 - v)/4`` on inputs and outcomes {0, 1}, uniform on outcomes
+    {0, 1} for every other input pair: non-signalling, CHSH ``4 v``."""
+    t = np.zeros((d, d, m, m))
+    for x, y, a, b in product(range(m), range(m), range(2), range(2)):
+        pr = 0.5 if a ^ b == x & y else 0.0
+        t[a, b, x, y] = v * pr + (1 - v) / 4 if x < 2 and y < 2 else 0.25
+    return t
+
+
+def local_mixture(rng, m: int, n_strategies: int, noise: float, d: int = 2) -> np.ndarray:
+    """Dirichlet mixture of random deterministic strategies blended with
+    white noise: local by construction."""
+    t = np.zeros((d, d, m, m))
+    for w in rng.dirichlet(np.ones(n_strategies)):
+        f, g = rng.integers(d, size=m), rng.integers(d, size=m)
+        for x, y in product(range(m), repeat=2):
+            t[f[x], g[y], x, y] += w
+    return (1 - noise) * t + noise / d**2
 
 
 class TestSimplex:
@@ -456,6 +480,54 @@ def realified_psd_projection(m: np.ndarray) -> np.ndarray:
     return s_plus[:n, :n] + 1j * s_plus[n:, :n]
 
 
+def dense_affine_projection(
+    f: np.ndarray, targets: np.ndarray, blocks: np.ndarray
+) -> np.ndarray:
+    """Reference LHS affine projection: the dense realified matrix of
+    ``f (x) 1`` over block-major ``[re | im]`` coordinates, its pinv, and
+    the least-norm correction ``x - A^+ (A x - b)``."""
+    n_cells, n_strat = f.shape
+    d_b = blocks.shape[-1]
+    eye_b, eye_2 = np.eye(d_b), np.eye(2)
+    a_mat = np.einsum("cl,ip,jq,ts->cijtlspq", f, eye_b, eye_b, eye_2)
+    a_mat = a_mat.reshape(n_cells * d_b * d_b * 2, -1)
+    rhs = np.stack([targets.real, targets.imag], axis=-1).reshape(-1)
+    pinv = np.linalg.pinv(a_mat, rcond=1e-12)
+    x = np.stack([blocks.real, blocks.imag], axis=1).reshape(-1)
+    x = x - pinv @ (a_mat @ x - rhs)
+    parts = x.reshape(n_strat, 2, d_b, d_b)
+    return parts[:, 0] + 1j * parts[:, 1]
+
+
+def realization_lhs_certificate(a: Assemblage, states: np.ndarray) -> MomentMatrix:
+    """Reference LHS certificate: the Gram matrix of the realization with
+    state blocks ``sqrt(P(sigma_lam))^T`` and projectors ``diag(chi) (x) 1``
+    on the ``(n_strat d_B)``-dimensional hidden-state space."""
+    n, m, d, d_b = a.n_untrusted, a.n_inputs, a.n_outputs, a.trusted_dim
+    joints = list(product(enumerate_strategies(m, d), repeat=n))
+    n_strat = len(joints)
+    kdim = n_strat * d_b
+    projectors = {}
+    for k, x, out in product(range(n), range(m), range(d)):
+        diag = np.array([1.0 if joint[k][x] == out else 0.0 for joint in joints])
+        projectors[(k, out, x)] = np.kron(np.diag(diag), np.eye(d_b)).astype(complex)
+    psi = np.zeros((kdim, d_b), dtype=complex)
+    for lam in range(n_strat):
+        vals, vecs = np.linalg.eigh((states[lam] + states[lam].conj().T) / 2)
+        root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+        psi[lam * d_b : (lam + 1) * d_b] = root.T
+    r = ProjectiveRealization(
+        state=psi.reshape(-1),
+        projectors=projectors,
+        n_parties=n,
+        n_inputs=m,
+        n_outputs=d,
+        kdim=kdim,
+        trusted_dim=d_b,
+    )
+    return moment_matrix_from_realization(r)
+
+
 def random_lhs_assemblage(rng, n: int, m: int, d: int, d_b: int) -> Assemblage:
     table = strategy_table(n, m, d)
     weights = rng.dirichlet(np.ones(table.shape[0]))
@@ -491,15 +563,45 @@ class TestVectorisedKernels:
         for k in range(5):
             assert np.max(np.abs(got[k] - realified_psd_projection(g[k]))) < 1e-12
 
-    def test_affine_coordinates_block_major_re_im(self, rng):
-        # coordinate of (block, i, j, imag) in a (3, 2, 4) stack
-        cons = AffineConstraints(np.eye(48)[:1], np.zeros(1), (3, 2, 4))
-        blocks = rng.normal(size=(3, 2, 4)) + 1j * rng.normal(size=(3, 2, 4))
-        x = cons.vectorize(blocks)
-        for k, i, j in product(range(3), range(2), range(4)):
-            assert x[k * 16 + i * 4 + j] == blocks[k, i, j].real
-            assert x[k * 16 + 8 + i * 4 + j] == blocks[k, i, j].imag
-        assert np.array_equal(cons.devectorize(x), blocks)
+    @pytest.mark.parametrize(
+        "n, m, d, d_b", [(2, 2, 2, 2), (2, 3, 2, 1), (1, 3, 3, 3), (2, 3, 3, 2)]
+    )
+    def test_lhs_projection_matches_dense(self, rng, n, m, d, d_b):
+        table = strategy_table(n, m, d)
+        f = table.reshape(table.shape[0], -1).T
+        targets = random_lhs_assemblage(rng, n, m, d, d_b).elements
+        targets = targets.reshape(f.shape[0], d_b, d_b)
+        assert np.linalg.matrix_rank(f) < min(f.shape)  # F is rank-deficient
+        cons = AffineConstraints(f, targets)
+        shape = (f.shape[1], d_b, d_b)
+        blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = cons.project(blocks)
+        assert got.shape == shape
+        assert np.max(np.abs(got - dense_affine_projection(f, targets, blocks))) < 1e-12
+        assert np.max(np.abs(cons.project(got) - got)) < 1e-12
+
+    def test_inconsistent_targets_rejected(self, rng):
+        table = strategy_table(2, 2, 2)
+        f = table.reshape(16, -1).T
+        targets = rng.normal(size=(16, 2, 2)) + 1j * rng.normal(size=(16, 2, 2))
+        with pytest.raises(ValueError, match="inconsistent"):
+            AffineConstraints(f, targets)
+
+    @pytest.mark.parametrize(
+        "n, m, d, d_b", [(1, 2, 2, 1), (1, 2, 2, 2), (1, 3, 2, 2), (2, 2, 2, 1), (2, 2, 2, 2)]
+    )
+    def test_lhs_certificate_matches_realization(self, rng, n, m, d, d_b):
+        a = random_lhs_assemblage(rng, n, m, d, d_b)
+        n_strat = len(enumerate_strategies(m, d)) ** n
+        states = np.stack([random_density(rng, d_b) / n_strat for _ in range(n_strat)])
+        # one state slightly outside the PSD cone: both sides clip it
+        vals, vecs = np.linalg.eigh(states[0])
+        vals[0] = -1e-9
+        states[0] = (vecs * vals) @ vecs.conj().T
+        got = moment_matrix_from_lhs_model(a, states)
+        want = realization_lhs_certificate(a, states)
+        assert got.skeleton.words == want.skeleton.words
+        assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
 
 
 class TestPinnedVerdicts:
@@ -514,6 +616,8 @@ class TestPinnedVerdicts:
             ("singlet almost-quantum", "feasible", 628),
             ("pq-steering-pr lhs", "numerically-infeasible", 501),
             ("pq-steering-pr almost-quantum", "numerically-infeasible", 629),
+            ("pr-mixture-0.63 lhs", "numerically-infeasible", 501),
+            ("pr-mixture-0.3-233 lhs", "feasible", 768),
         ],
     )
     def test_verdict_and_iterations(
@@ -526,11 +630,42 @@ class TestPinnedVerdicts:
             rep = almost_quantum_correlation_membership(c, max_iter=1000)
         elif instance == "pq-steering-pr lhs":
             rep = lhs_membership(assemblage_from_channel(pq_pr_channel), max_iter=1000)
+        elif instance == "pr-mixture-0.63 lhs":
+            rep = lhs_membership(Assemblage(pr_mixture(0.63)[..., None, None] * HALF), max_iter=1000)
+        elif instance == "pr-mixture-0.3-233 lhs":
+            t = pr_mixture(0.3, m=3, d=3)
+            rep = lhs_membership(Assemblage(t[..., None, None] * HALF), max_iter=1000)
         else:
             a = assemblage_from_channel(pq_pr_channel)
             rep = almost_quantum_assemblage_membership(a, max_iter=1000)
         assert rep.status == status
         assert abs(rep.iterations - iterations) <= 2
+
+
+class TestLpVsSdp:
+    """With a one-dimensional trusted system the LHS SDP is the LHV LP, so
+    the projection solver must never contradict the simplex."""
+
+    @settings(max_examples=24, deadline=None)
+    @given(
+        m=st.sampled_from([2, 3]),
+        local=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.floats(0.05, 0.5),
+        v=st.floats(0.6, 1.0),
+    )
+    def test_lhs_never_contradicts_lhv(self, m, local, seed, noise, v):
+        if local:
+            rng = np.random.default_rng(seed)
+            t = local_mixture(rng, m, int(rng.integers(1, 5)), noise)
+        else:
+            t = pr_mixture(v, m)
+        lp = lhv_membership(Correlation(t))
+        sdp = lhs_membership(Assemblage(t[..., None, None]), max_iter=2000)
+        if lp.status == "numerically-infeasible":
+            assert sdp.status != "feasible"
+        if lp.status == "feasible":
+            assert sdp.status != "numerically-infeasible"
 
 
 class TestTsirelsonWitness:

@@ -157,6 +157,18 @@ def _correlation_doc() -> dict:
     return json.loads(serialize(Correlation(pr_table())))
 
 
+def _measurement_doc() -> dict:
+    channel = compile_circuit(singlet_tsirelson_channel())
+    return json.loads(serialize(distributed_measurement_from_channel(channel)))
+
+
+def _teleportage_doc() -> dict:
+    from causalchannels import pq_steering_pr_channel
+
+    channel = compile_circuit(pq_steering_pr_channel())
+    return json.loads(serialize(teleportage_from_channel(channel)))
+
+
 def _set(*path):
     """Mutation setting ``payload[path[0]]...[path[-2]]`` to ``path[-1]``."""
     *keys, value = path
@@ -173,6 +185,7 @@ def _set(*path):
 _KEY = "x=000,000|a=000,000"
 _ELEMENT = f"$.payload.elements[{_KEY!r}]"
 _PAIRS = "complex entries must be [re, im] number pairs"
+_NAN = [float("nan"), 0.0]
 
 # (document, mutation, DocumentError path, message): the exact errors the
 # per-entry decoder has always raised for malformed matrices and vectors.
@@ -239,6 +252,33 @@ ERROR_CASES = {
     "huge-integer-probability": (
         _correlation_doc, _set("entries", _KEY, 10**400), f"$.payload.entries[{_KEY!r}]",
         "number out of float range",
+    ),
+    "nan-choi-entry": (
+        _choi_doc, _set("choi", 0, 0, _NAN), "$.payload.choi", "choi entries must be finite",
+    ),
+    "infinite-choi-entry": (
+        _choi_doc, _set("choi", 1, 2, [0.0, float("inf")]), "$.payload.choi",
+        "choi entries must be finite",
+    ),
+    "nan-prep-entry": (
+        _circuit_doc, _set("ancilla_prep", "entries", 0, _NAN), "$.payload",
+        "ancilla_prep entries must be finite",
+    ),
+    "nan-probability": (
+        _correlation_doc, _set("entries", _KEY, float("nan")), "$.payload.entries",
+        "probabilities must be finite",
+    ),
+    "nan-assemblage-entry": (
+        _assemblage_doc, _set("elements", _KEY, 0, 0, _NAN), "$.payload.elements",
+        "element entries must be finite",
+    ),
+    "nan-measurement-entry": (
+        _measurement_doc, _set("elements", "a=000,000", 1, 0, _NAN), "$.payload.elements",
+        "element entries must be finite",
+    ),
+    "nan-teleportage-entry": (
+        _teleportage_doc, _set("blocks", "a=000,000", 0, 1, _NAN), "$.payload.blocks",
+        "block entries must be finite",
     ),
 }
 
