@@ -268,13 +268,7 @@ def _demo_lines(name: str, alpha: float) -> tuple[list[str], dict]:
         c = correlations_from_channel(ch)
         rep = is_causal(ch)
         value = chsh_value(c)
-        table_err = 0.0
-        for x in range(2):
-            for y in range(2):
-                for a in range(2):
-                    for b in range(2):
-                        target = 0.5 if (a ^ b) == (x & y) else 0.0
-                        table_err = max(table_err, abs(c.prob((a, b), (x, y)) - target))
+        table_err = float(np.max(np.abs(c.table - _pr_table())))
         return (
             [
                 f"PR table max deviation from delta(a+b=xy)/2: {table_err:.3e} (target 0)",
@@ -293,22 +287,8 @@ def _demo_lines(name: str, alpha: float) -> tuple[list[str], dict]:
     if name == "pq-steering-pr":
         ch = compile_circuit(constructions.pq_steering_pr_channel())
         a = assemblage_from_channel(ch)
-        dev = 0.0
-        for x in range(2):
-            for y in range(2):
-                for aa in range(2):
-                    for bb in range(2):
-                        p = 0.5 if (aa ^ bb) == (x & y) else 0.0
-                        dev = max(
-                            dev,
-                            float(
-                                np.max(
-                                    np.abs(
-                                        a.element((aa, bb), (x, y)) - p * np.eye(2) / 2
-                                    )
-                                )
-                            ),
-                        )
+        target = _pr_table()[..., None, None] * np.eye(2) / 2
+        dev = float(np.max(np.abs(a.elements - target)))
         ns_ok, ns_res = is_nonsignalling_assemblage(a)
         value, verdict = tsirelson_witness(a.to_correlation())
         lhs = lhs_membership(a)

@@ -23,7 +23,6 @@ from .channels import (
     Party,
 )
 from .linalg import (
-    DEFAULT_TOL,
     SystemLayout,
     Subsystem,
     basis_state,
@@ -475,9 +474,18 @@ def assemblage_from_commuting_projectors(r: ProjectiveRealization) -> Assemblage
 
 # -- constructive realizations (purification + joint measurement) -------------
 
-def ghjw_realize_assemblage(
-    a: Assemblage, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _purify_support(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lam, v, state)``: the support eigenvalues and eigenvectors (columns)
+    of ``rho`` and the purification ``sum_i sqrt(lam_i) |i> (x) |v_i>`` on
+    ``C^r (x) H``, with ``r`` the support rank."""
+    vals, vecs = np.linalg.eigh(hermitize(rho))
+    support = vals > GHJW_SUPPORT_CUTOFF
+    lam, v = vals[support], vecs[:, support]
+    state = (np.sqrt(lam)[:, None] * v.T).reshape(-1)
+    return lam, v, state
+
+
+def ghjw_realize_assemblage(a: Assemblage) -> tuple[np.ndarray, np.ndarray, float]:
     """Quantum model of a single-untrusted-party non-signalling assemblage.
 
     Returns ``(state, povms, residual)``: a purification of the reduced
@@ -492,16 +500,8 @@ def ghjw_realize_assemblage(
     if not ok:
         raise ValueError(f"assemblage is signalling (residual {res:.3e})")
     m, d, d_b = a.n_inputs, a.n_outputs, a.trusted_dim
-    rho = a.reduced_state()
-    vals, vecs = np.linalg.eigh(hermitize(rho))
-    support = vals > GHJW_SUPPORT_CUTOFF
-    lam = vals[support]
-    v = vecs[:, support]  # columns are support eigenvectors
+    lam, v, state = _purify_support(a.reduced_state())
     r = int(lam.size)
-
-    state = np.zeros(r * d_b, dtype=complex)
-    for i in range(r):
-        state += np.sqrt(lam[i]) * np.kron(basis_state(r, i), v[:, i])
 
     povms = np.zeros((m, d, r, r), dtype=complex)
     scale = np.outer(np.sqrt(lam), np.sqrt(lam))
@@ -524,9 +524,7 @@ def ghjw_realize_assemblage(
     return state, povms, float(worst)
 
 
-def ghjw_realize_teleportage(
-    t: Teleportage, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, float]:
+def ghjw_realize_teleportage(t: Teleportage) -> tuple[np.ndarray, np.ndarray, float]:
     """Quantum model of a single-party non-signalling teleportage.
 
     Returns ``(state, joint_povm, residual)``: a purification of the fixed
@@ -542,15 +540,8 @@ def ghjw_realize_teleportage(
         raise ValueError(f"teleportage is signalling (residual {res:.3e})")
     d_k, d, d_b = t.dim_in, t.n_outputs, t.trusted_dim
     rho_b = partial_trace_dims(t.total_choi(), [d_k, d_b], keep=[1]) / d_k
-    vals, vecs = np.linalg.eigh(hermitize(rho_b))
-    support = vals > GHJW_SUPPORT_CUTOFF
-    lam = vals[support]
-    v = vecs[:, support]
+    lam, v, state = _purify_support(rho_b)
     r = int(lam.size)
-
-    state = np.zeros(r * d_b, dtype=complex)
-    for i in range(r):
-        state += np.sqrt(lam[i]) * np.kron(basis_state(r, i), v[:, i])
 
     # M_a[(s,i),(t,k)] = <v_k| T_a(|t><s|) |v_i> / sqrt(lam_k lam_i)
     povm = np.zeros((d,) + (d_k * r, d_k * r), dtype=complex)

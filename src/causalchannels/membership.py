@@ -16,6 +16,16 @@ membership through the moment matrix
 ``chi_w(lam)`` the indicator that strategy ``lam`` answers every entry of
 word ``w`` and ``P`` the projection onto the PSD cone.
 
+The almost-quantum moment matrix is indexed by words, sets of
+``(party, outcome, input)`` entries with at most one entry per party.  A
+word is coded per party (0 when the party is absent, else
+``1 + outcome * m + input``), and the class of a block pair ``(u, v)``
+follows from the two code rows alone: the equality structure is built by
+broadcasting, with no search over pairs.  Each class is anchored (the
+clash-free pairs, pinned to a marginal of the target object), zero (a
+clash with equal inputs: orthogonal words) or free (its blocks are set
+equal); the affine projection averages each free class.
+
 Alternating projections cannot *prove* infeasibility: the
 ``numerically-infeasible`` verdict is a stalled-residual heuristic and is
 always reported together with the final residual.  Negative claims in the
@@ -26,6 +36,7 @@ solver verdicts alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
 import numpy as np
@@ -71,19 +82,28 @@ def enumerate_strategies(m: int, d: int) -> list[tuple[int, ...]]:
     return list(product(range(d), repeat=m))
 
 
+def _strategy_answers(n: int, m: int, d: int) -> np.ndarray:
+    """``answers[k, lam, x]``: party ``k``'s outcome on input ``x`` under the
+    joint strategy ``lam``, joint strategies in ``product(single, repeat=n)``
+    order."""
+    single = np.array(enumerate_strategies(m, d)).reshape(d**m, m)
+    return single[np.indices((d**m,) * n).reshape(n, -1)]
+
+
 def strategy_table(n: int, m: int, d: int, cap: int = STRATEGY_CAP) -> np.ndarray:
     """Indicator table ``D[lam, a_vec..., x_vec...]`` over joint strategies."""
-    single = enumerate_strategies(m, d)
-    n_joint = len(single) ** n
+    n_joint = (d**m) ** n
     if n_joint > cap:
         raise ValueError(
             f"{n_joint} deterministic strategies exceed the configured cap {cap}"
         )
-    table = np.zeros((n_joint,) + (d,) * n + (m,) * n)
-    for lam, joint in enumerate(product(single, repeat=n)):
-        for x_vec in product(range(m), repeat=n):
-            a_vec = tuple(joint[k][x_vec[k]] for k in range(n))
-            table[(lam,) + a_vec + x_vec] = 1.0
+    table = np.ones((n_joint,) + (1,) * (2 * n))
+    for k, answer in enumerate(_strategy_answers(n, m, d)):
+        # one-hot over (a_k, x_k): answer[lam, x] == a
+        shape = [n_joint] + [1] * (2 * n)
+        shape[1 + k], shape[1 + n + k] = d, m
+        onehot = answer[:, None, :] == np.arange(d)[None, :, None]
+        table = table * onehot.reshape(shape)
     return table
 
 
@@ -351,17 +371,14 @@ def words_orthogonal(u: Word, v: Word) -> bool:
     return False
 
 
-def _common_droppable(u: Word, v: Word) -> list[tuple[int, int, int]]:
-    return [e for e in u if e in v]
-
-
 @dataclass
 class MomentSkeleton:
     """Word list plus the compiled affine structure of the feasibility SDP.
 
-    Blocks are indexed by ordered word pairs; the constraint classes merge
-    blocks identified by the common-prefix rule, pin orthogonal-word blocks
-    to zero, and anchor the empty-row blocks to the assemblage data.
+    ``labels[u, v]`` is the class of block pair ``(u, v)``.  A class is
+    anchored (its blocks equal one marginal of the target object), zero
+    (its words are orthogonal) or free (its blocks are equal to each other);
+    see :func:`build_moment_skeleton` for the closed form.
     """
 
     n_parties: int
@@ -369,10 +386,9 @@ class MomentSkeleton:
     n_outputs: int
     block_dim: int
     words: list[Word]
-    classes: list[list[tuple[int, int]]]
+    labels: np.ndarray  # (n_words, n_words) class id of every block pair
     zero_classes: set[int]
     anchor_values: dict[int, np.ndarray]  # class id -> pinned constant
-    class_of: dict[tuple[int, int], int]
 
     @property
     def n_words(self) -> int:
@@ -382,16 +398,35 @@ class MomentSkeleton:
     def flat_dim(self) -> int:
         return self.n_words * self.block_dim
 
+    @cached_property
+    def classes(self) -> list[list[tuple[int, int]]]:
+        """Members of every class, in pair-index order."""
+        flat = self.labels.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        bounds = np.cumsum(np.bincount(flat))[:-1]
+        return [
+            [divmod(k, self.n_words) for k in seg.tolist()]
+            for seg in np.split(order, bounds)
+        ]
+
 
 def build_moment_skeleton(
     n: int, m: int, d: int, d_b: int, cap: int = WORD_CAP
 ) -> MomentSkeleton:
     """Enumerate words and compile the equality structure of the moment SDP.
 
-    Emits the orthogonal-zero classes, the common-prefix identification
-    classes, and placeholders for the anchor constraints; anchors get their
-    constants when a target object is supplied (see
-    :func:`almost_quantum_assemblage_membership`).
+    Each word has one code per party: ``c_p = 0`` when party ``p`` is absent,
+    else ``1 + a m + x``.  Party ``p`` clashes in a pair ``(u, v)`` when both
+    codes are nonzero and differ.  A common entry (equal nonzero codes) can
+    move freely between the row word and the column word, and a clashing
+    one cannot move, so the common-prefix identifications close into one
+    class per tuple of per-party pairs
+    ``(c_u, c_v)`` if clashing else ``(0, max(c_u, c_v))``:
+    ``(1 + (m d)^2)^n`` classes in all.  A class is zero when some clash has
+    equal inputs (orthogonal words).  The anchor classes, those of
+    ``(empty, w)``, are exactly the clash-free ones, so no anchor is ever
+    pinned to zero; anchors get their constants when a target object is
+    supplied (see :func:`attach_assemblage_anchors`).
     """
     words = words_for_scenario(n, m, d)
     n_w = len(words)
@@ -399,58 +434,27 @@ def build_moment_skeleton(
         raise ValueError(
             f"|W| * d_B = {n_w * d_b} exceeds the configured cap {cap}"
         )
-    index = {w: k for k, w in enumerate(words)}
-
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    pairs = [(i, j) for i in range(n_w) for j in range(n_w)]
-    for i, u in enumerate(words):
-        for j, v in enumerate(words):
-            common = _common_droppable(u, v)
-            for entry in common:
-                u_drop = tuple(e for e in u if e != entry)
-                v_drop = tuple(e for e in v if e != entry)
-                # drop from the row word, then from the column word;
-                # mirrored pairs keep the structure Hermiticity-stable
-                union((i, j), (index[u_drop], j))
-                union((i, j), (i, index[v_drop]))
-
-    class_members: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for pair in pairs:
-        class_members.setdefault(find(pair), []).append(pair)
-    classes = list(class_members.values())
-    class_of = {}
-    for cid, members in enumerate(classes):
-        for pair in members:
-            class_of[pair] = cid
-
-    zero_classes = set()
-    for i, u in enumerate(words):
-        for j, v in enumerate(words):
-            if words_orthogonal(u, v):
-                zero_classes.add(class_of[(i, j)])
-
+    codes = np.zeros((n_w, n), dtype=np.intp)
+    for k, word in enumerate(words):
+        for p, a, x in word:
+            codes[k, p] = 1 + a * m + x
+    c_u, c_v = codes[:, None, :], codes[None, :, :]
+    clash = (c_u != c_v) & (c_u > 0) & (c_v > 0)
+    row = np.where(clash, c_u, 0)
+    col = np.where(clash, c_v, np.maximum(c_u, c_v))
+    radix = 1 + m * d
+    key = (row * radix + col) @ (radix ** (2 * np.arange(n)))
+    labels = np.unique(key.reshape(-1), return_inverse=True)[1].reshape(n_w, n_w)
+    zero = (clash & ((c_u - 1) % m == (c_v - 1) % m)).any(axis=-1)
     return MomentSkeleton(
         n_parties=n,
         n_inputs=m,
         n_outputs=d,
         block_dim=d_b,
         words=words,
-        classes=classes,
-        zero_classes=zero_classes,
+        labels=labels,
+        zero_classes=set(np.unique(labels[zero]).tolist()),
         anchor_values={},
-        class_of=class_of,
     )
 
 
@@ -524,30 +528,17 @@ class MomentAffine:
 
     def __init__(self, sk: MomentSkeleton):
         self.sk = sk
-        self.consistent = True
-        self.inconsistency = ""
-        for cid in sk.zero_classes:
-            anchor = sk.anchor_values.get(cid)
-            if anchor is not None and float(np.max(np.abs(anchor))) > 1e-9:
-                self.consistent = False
-                self.inconsistency = (
-                    "an orthogonal-zero class carries a nonzero anchor"
-                )
-        n_w, d_b = sk.n_words, sk.block_dim
-        self.labels = np.empty(n_w * n_w, dtype=np.intp)
-        for (u, v), cid in sk.class_of.items():
-            self.labels[u * n_w + v] = cid
+        self.labels = sk.labels.reshape(-1)
         self.order = np.argsort(self.labels, kind="stable")
-        self.counts = np.bincount(self.labels, minlength=len(sk.classes))
+        self.counts = np.bincount(self.labels)
         self.starts = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
-        self.pinned = np.zeros(len(sk.classes), dtype=bool)
-        self.pinned_values = np.zeros((len(sk.classes), d_b * d_b), dtype=complex)
+        n_classes, d_b = len(self.counts), sk.block_dim
+        self.pinned = np.zeros(n_classes, dtype=bool)
+        self.pinned_values = np.zeros((n_classes, d_b * d_b), dtype=complex)
         for cid, value in sk.anchor_values.items():
             self.pinned[cid] = True
             self.pinned_values[cid] = value.reshape(-1)
-        for cid in sk.zero_classes:
-            self.pinned[cid] = True
-            self.pinned_values[cid] = 0.0
+        self.pinned[list(sk.zero_classes)] = True
         self.pinned_values = self.pinned_values[self.pinned]
 
     def project_matrix(self, matrix: np.ndarray) -> np.ndarray:
@@ -569,7 +560,7 @@ def attach_assemblage_anchors(sk: MomentSkeleton, a: Assemblage) -> None:
     the skeleton, so condition residuals can be evaluated against them."""
     index = {w: k for k, w in enumerate(sk.words)}
     sk.anchor_values = {
-        sk.class_of[(0, index[word])]: np.asarray(value, dtype=complex)
+        int(sk.labels[0, index[word]]): np.asarray(value, dtype=complex)
         for word, value in _assemblage_marginals(a).items()
     }
 
@@ -596,10 +587,6 @@ def almost_quantum_assemblage_membership(
     sk = build_moment_skeleton(n, m, d, d_b, cap)
     attach_assemblage_anchors(sk, a)
     cons = MomentAffine(sk)
-    if not cons.consistent:
-        return FeasibilityReport(
-            "numerically-infeasible", float("inf"), 0, None, cons.inconsistency
-        )
 
     if init is not None:
         start = np.asarray(init, dtype=complex)[None]
@@ -675,12 +662,10 @@ def moment_matrix_from_lhs_model(
     hidden-state stack, so it is PSD and meets every moment condition.
     """
     n, m, d, d_b = a.n_untrusted, a.n_inputs, a.n_outputs, a.trusted_dim
-    single = np.array(enumerate_strategies(m, d))
-    n_strat = len(single) ** n
+    n_strat = (d**m) ** n
     if len(states) != n_strat:
         raise ValueError("one hidden state per joint deterministic strategy required")
-    # answers[k, lam, x]: party k's outcome on input x under joint strategy lam
-    answers = single[np.indices((len(single),) * n).reshape(n, -1)]
+    answers = _strategy_answers(n, m, d)
     sk = build_moment_skeleton(n, m, d, d_b)
     chi = np.ones((sk.n_words, n_strat))
     for w, word in enumerate(sk.words):

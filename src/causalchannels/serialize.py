@@ -233,9 +233,9 @@ def _channel_from_payload(payload: dict, path: str, tol: float = 1e-7) -> Channe
         parties.append(
             Party(
                 _field(spec, "label", str, sub),
-                _field(spec, "dim_in", int, sub),
-                _field(spec, "dim_out", int, sub),
-                bool(spec.get("trusted", False)),
+                _count(spec, "dim_in", sub),
+                _count(spec, "dim_out", sub),
+                _trusted(spec, sub),
             )
         )
     choi = _decode_matrix(_field(payload, "choi", list, path), f"{path}.choi")
@@ -282,7 +282,7 @@ def _circuit_from_payload(payload: dict, path: str) -> CircuitChannel:
         subs.append(
             Subsystem(
                 _field(spec, "label", str, sub),
-                _field(spec, "dim", int, sub),
+                _count(spec, "dim", sub),
                 spec.get("role", "ancilla"),
             )
         )
@@ -294,7 +294,7 @@ def _circuit_from_payload(payload: dict, path: str) -> CircuitChannel:
                 _field(spec, "label", str, sub),
                 _field(spec, "input_register", str, sub),
                 tuple(_field(spec, "output_registers", list, sub)),
-                bool(spec.get("trusted", False)),
+                _trusted(spec, sub),
             )
         )
     prep_spec = _field(payload, "ancilla_prep", dict, path)
@@ -333,9 +333,9 @@ def _correlation_payload(c: Correlation) -> dict:
 
 
 def _correlation_from_payload(payload: dict, path: str) -> Correlation:
-    n = _field(payload, "n_parties", int, path)
-    m = _field(payload, "n_inputs", int, path)
-    d = _field(payload, "n_outputs", int, path)
+    n = _count(payload, "n_parties", path)
+    m = _count(payload, "n_inputs", path)
+    d = _count(payload, "n_outputs", path)
     entries = _field(payload, "entries", dict, path)
     table = np.zeros((d,) * n + (m,) * n)
     expected = (m**n) * (d**n)
@@ -377,10 +377,10 @@ def _assemblage_payload(a: Assemblage) -> dict:
 
 
 def _assemblage_from_payload(payload: dict, path: str) -> Assemblage:
-    n = _field(payload, "n_untrusted", int, path)
-    m = _field(payload, "n_inputs", int, path)
-    d = _field(payload, "n_outputs", int, path)
-    d_b = _field(payload, "trusted_dim", int, path)
+    n = _count(payload, "n_untrusted", path)
+    m = _count(payload, "n_inputs", path)
+    d = _count(payload, "n_outputs", path)
+    d_b = _count(payload, "trusted_dim", path)
     raw = _field(payload, "elements", dict, path)
     elements = np.zeros((d,) * n + (m,) * n + (d_b, d_b), dtype=complex)
     for key, value in raw.items():
@@ -411,8 +411,8 @@ def _measurement_payload(dm: DistributedMeasurement) -> dict:
 
 
 def _measurement_from_payload(payload: dict, path: str) -> DistributedMeasurement:
-    dims = tuple(_field(payload, "input_dims", list, path))
-    d = _field(payload, "n_outputs", int, path)
+    dims = _input_dims(payload, path)
+    d = _count(payload, "n_outputs", path)
     n = len(dims)
     d_tot = int(np.prod(dims))
     raw = _field(payload, "elements", dict, path)
@@ -442,9 +442,9 @@ def _teleportage_payload(t: Teleportage) -> dict:
 
 
 def _teleportage_from_payload(payload: dict, path: str) -> Teleportage:
-    dims = tuple(_field(payload, "input_dims", list, path))
-    d = _field(payload, "n_outputs", int, path)
-    d_b = _field(payload, "trusted_dim", int, path)
+    dims = _input_dims(payload, path)
+    d = _count(payload, "n_outputs", path)
+    d_b = _count(payload, "trusted_dim", path)
     n = len(dims)
     d_tot = int(np.prod(dims)) * d_b
     raw = _field(payload, "blocks", dict, path)
@@ -519,6 +519,27 @@ def _field(payload, name: str, typ, path: str):
     if not isinstance(value, typ):
         raise DocumentError(f"{path}.{name}", f"expected {typ.__name__}")
     return value
+
+
+def _positive(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise DocumentError(path, "expected a positive integer")
+    return value
+
+
+def _count(payload, name: str, path: str) -> int:
+    """A dimension or count field: a positive integer, booleans excluded."""
+    return _positive(_field(payload, name, int, path), f"{path}.{name}")
+
+
+def _input_dims(payload, path: str) -> tuple[int, ...]:
+    dims = _field(payload, "input_dims", list, path)
+    return tuple(_positive(v, f"{path}.input_dims[{k}]") for k, v in enumerate(dims))
+
+
+def _trusted(spec, path: str) -> bool:
+    """The optional ``trusted`` flag of a party: absent, or a JSON boolean."""
+    return _field(spec, "trusted", bool, path) if "trusted" in spec else False
 
 
 def serialize(obj) -> str:

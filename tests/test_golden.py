@@ -4,9 +4,10 @@ The byte layout of a document is part of the format: two-space indent, one
 number per line, ``float.__repr__`` digits and json's ``NaN``/``Infinity``
 spellings, exactly as ``json.dumps(doc, indent=2)`` wrote it when the
 format was defined.  Any encoder change that moves a single byte of a
-gallery document, of an object extracted from one, or of a report fails
-here.  Documents are written through the CLI, so decoding the channel
-documents for ``extract`` is exercised too.
+gallery document, of an object extracted from one, of a report or of the
+``pr-box`` and ``pq-steering-pr`` demo output fails here.  Documents are
+written through the CLI, so decoding the channel documents for ``extract``
+is exercised too.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ GOLDEN = {
     "singlet.correlations": "0e872925a41f72f4d966b907a147f2efccff0dd03ae5733b943c06a005424725",
     "singlet.measurement": "e1e6395ef5386f794a0c9256b5e7ee9f26176fd4be40c9a0606f38153d7729f7",
     "stdout.classify-lhs-uniform": "7d162b38879fbd72886fc2fbfdb716eb61f1eac9abdf5a9a609d5502294499d0",
+    "stdout.demo-pq-steering-pr": "721450799ecf4ae5281c53bc08fc1f0bbbaf53c1a7b089029644738847b6ce51",
+    "stdout.demo-pq-steering-pr-json": "45021060a5365b14fbc28d22b770e20b18b385658b3c9a6534518eb7a100ec64",
+    "stdout.demo-pr-box": "51e8512739aa45d2cb505551edf940e912f0ed0508b6599197d4f7b3bdff159c",
+    "stdout.demo-pr-box-json": "39c2a71f237ca8b0ff75901cf75839559e5d4f538af122c0ef63cde0e94d6cdb",
     "stdout.verify-causal-pq-steering-pr": "2a830f91318d4e4f5d2e05511016e94cf272ec32bdbb3785927c295adc7f1449",
     "uniform.assemblage": "b956cedce58dc0499b9092666202d8c36143bca7c3197242983c451156194a35",
 }
@@ -106,6 +111,9 @@ def documents(tmp_path_factory) -> dict[str, str]:
     docs["stdout.verify-causal-pq-steering-pr"] = _run(
         ["--json", "verify-causal", str(tmp / "pq-steering-pr.json")]
     )
+    for demo in ("pr-box", "pq-steering-pr"):
+        docs[f"stdout.demo-{demo}"] = _run(["demo", demo])
+        docs[f"stdout.demo-{demo}-json"] = _run(["--json", "demo", demo])
     return docs
 
 

@@ -237,13 +237,37 @@ class TestWordsAndSkeleton:
         assert count_fast > 0
 
     def test_skeleton_zero_classes_match_orthogonality(self):
-        sk = build_moment_skeleton(2, 2, 2, 1)
-        words = sk.words
-        for i, u in enumerate(words):
-            for j, v in enumerate(words):
-                in_zero = sk.class_of[(i, j)] in sk.zero_classes
-                if words_orthogonal(u, v):
-                    assert in_zero
+        """A block pair lies in a zero class iff its words are orthogonal."""
+        for n, m, d in [(1, 2, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2)]:
+            sk = build_moment_skeleton(n, m, d, 1)
+            words = sk.words
+            for i, u in enumerate(words):
+                for j, v in enumerate(words):
+                    in_zero = int(sk.labels[i, j]) in sk.zero_classes
+                    assert in_zero == words_orthogonal(u, v), (n, m, d, u, v)
+
+    @pytest.mark.parametrize(
+        "n,m,d,n_classes,n_zero",
+        [
+            (1, 2, 2, 17, 4),
+            (2, 2, 2, 289, 120),
+            (2, 3, 2, 1369, 408),
+            (3, 2, 2, 4913, 2716),
+            (1, 3, 3, 82, 18),
+        ],
+    )
+    def test_class_counts_closed_form(self, n, m, d, n_classes, n_zero):
+        """``(1 + (m d)^2)^n`` classes: per party, absent or common (one
+        code in ``0..m d``) or clashing (an ordered pair of distinct
+        codes).  A class is nonzero iff no party clashes with equal inputs,
+        and ``m d (d - 1)`` of the clashing pairs per party share an input."""
+        md = m * d
+        assert n_classes == (1 + md * md) ** n
+        assert n_zero == n_classes - (1 + md * md - md * (d - 1)) ** n
+        sk = build_moment_skeleton(n, m, d, 1)
+        assert len(sk.classes) == n_classes
+        assert len(sk.zero_classes) == n_zero
+        assert sk.labels.shape == (sk.n_words, sk.n_words)
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
@@ -541,7 +565,8 @@ class TestVectorisedKernels:
         sk = build_moment_skeleton(n, m, d, d_b)
         attach_assemblage_anchors(sk, random_lhs_assemblage(rng, n, m, d, d_b))
         affine = MomentAffine(sk)
-        assert affine.consistent
+        assert sk.anchor_values and sk.zero_classes
+        assert not set(sk.anchor_values) & sk.zero_classes
         for _ in range(3):
             shape = (sk.flat_dim, sk.flat_dim)
             mat = rng.normal(size=shape) + 1j * rng.normal(size=shape)

@@ -186,9 +186,11 @@ _KEY = "x=000,000|a=000,000"
 _ELEMENT = f"$.payload.elements[{_KEY!r}]"
 _PAIRS = "complex entries must be [re, im] number pairs"
 _NAN = [float("nan"), 0.0]
+_POSITIVE = "expected a positive integer"
 
 # (document, mutation, DocumentError path, message): the exact errors the
-# per-entry decoder has always raised for malformed matrices and vectors.
+# per-entry decoder has always raised for malformed matrices and vectors, and
+# those of the dimension, count and ``trusted`` fields.
 ERROR_CASES = {
     "ragged-rows": (
         _choi_doc, lambda d: d["payload"]["choi"][1].pop(), "$.payload.choi[1]",
@@ -279,6 +281,55 @@ ERROR_CASES = {
     "nan-teleportage-entry": (
         _teleportage_doc, _set("blocks", "a=000,000", 0, 1, _NAN), "$.payload.blocks",
         "block entries must be finite",
+    ),
+    "trusted-string-false": (
+        _choi_doc, _set("parties", 0, "trusted", "false"), "$.payload.parties[0].trusted",
+        "expected bool",
+    ),
+    "trusted-string-no": (
+        _choi_doc, _set("parties", 0, "trusted", "no"), "$.payload.parties[0].trusted",
+        "expected bool",
+    ),
+    "circuit-trusted-one": (
+        _circuit_doc, _set("parties", 1, "trusted", 1), "$.payload.parties[1].trusted",
+        "expected bool",
+    ),
+    "register-dim-zero": (
+        _circuit_doc, _set("registers", 0, "dim", 0), "$.payload.registers[0].dim", _POSITIVE,
+    ),
+    "dim-in-zero": (
+        _choi_doc, _set("parties", 0, "dim_in", 0), "$.payload.parties[0].dim_in", _POSITIVE,
+    ),
+    "dim-out-negative": (
+        _choi_doc, _set("parties", 0, "dim_out", -2), "$.payload.parties[0].dim_out",
+        _POSITIVE,
+    ),
+    "input-dims-strings": (
+        _measurement_doc, _set("input_dims", ["a", "b"]), "$.payload.input_dims[0]", _POSITIVE,
+    ),
+    "input-dims-negative": (
+        _measurement_doc, _set("input_dims", [-2, -2]), "$.payload.input_dims[0]", _POSITIVE,
+    ),
+    "input-dims-boolean": (
+        _measurement_doc, _set("input_dims", [True, 4]), "$.payload.input_dims[0]", _POSITIVE,
+    ),
+    "teleportage-input-dims-zero": (
+        _teleportage_doc, _set("input_dims", [2, 0]), "$.payload.input_dims[1]", _POSITIVE,
+    ),
+    "n-inputs-negative": (
+        _correlation_doc, _set("n_inputs", -1), "$.payload.n_inputs", _POSITIVE,
+    ),
+    "n-parties-zero": (
+        _correlation_doc, _set("n_parties", 0), "$.payload.n_parties", _POSITIVE,
+    ),
+    "n-untrusted-zero": (
+        _assemblage_doc, _set("n_untrusted", 0), "$.payload.n_untrusted", _POSITIVE,
+    ),
+    "trusted-dim-negative": (
+        _assemblage_doc, _set("trusted_dim", -1), "$.payload.trusted_dim", _POSITIVE,
+    ),
+    "measurement-n-outputs-zero": (
+        _measurement_doc, _set("n_outputs", 0), "$.payload.n_outputs", _POSITIVE,
     ),
 }
 
