@@ -18,7 +18,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     SystemLayout,
-    Subsystem,
     apply_gate_to_tensor,
     frobenius,
     is_unitary,
@@ -106,20 +105,6 @@ class Channel:
     @property
     def untrusted(self) -> tuple[Party, ...]:
         return tuple(p for p in self.parties if not p.trusted)
-
-    def party(self, label: str) -> Party:
-        for p in self.parties:
-            if p.label == label:
-                return p
-        raise ValueError(f"unknown party {label!r}")
-
-    def layout(self) -> SystemLayout:
-        subs = []
-        for p in self.parties:
-            kind = "trusted" if p.trusted else "untrusted"
-            subs.append(Subsystem(f"{p.label}:in", p.dim_in, f"{kind}-in"))
-            subs.append(Subsystem(f"{p.label}:out", p.dim_out, f"{kind}-out"))
-        return SystemLayout(tuple(subs))
 
     def in_factor(self, k: int) -> int:
         return 2 * k
@@ -396,10 +381,6 @@ class CircuitChannel:
         for p in self.parties:
             out.extend(p.output_registers)
         return tuple(out)
-
-    @property
-    def discard(self) -> frozenset[str]:
-        return frozenset(self.registers.labels) - set(self.keep)
 
     @property
     def ancilla_registers(self) -> tuple[str, ...]:

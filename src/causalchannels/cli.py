@@ -9,6 +9,7 @@ failure, 1 internal error, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -71,7 +72,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = _Parser(prog="causalchannels", description=__doc__)
     parser.add_argument("--tol", type=float, default=None, help="override tolerance")
     parser.add_argument(

@@ -87,10 +87,6 @@ class SystemLayout:
 # Tensor construction helpers
 # ----------------------------------------------------------------------------
 
-def dag(m: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(m, -1, -2))
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices; dimensions multiply."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))

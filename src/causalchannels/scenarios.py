@@ -97,17 +97,6 @@ class Correlation:
             out[coarse] += self.table[a_vec]
         return Correlation(out)
 
-    def marginal(self, keep_parties: tuple[int, ...]) -> "Correlation":
-        """Marginalize outcomes of the remaining parties (inputs fixed at 0)."""
-        n = self.n_parties
-        drop = [k for k in range(n) if k not in keep_parties]
-        t = self.table.sum(axis=tuple(drop))
-        # fix dropped parties' inputs to 0 (valid when non-signalling)
-        idx: list = [slice(None)] * len(keep_parties)
-        for k in range(n):
-            idx.append(slice(None) if k in keep_parties else 0)
-        return Correlation(t[tuple(idx)])
-
 
 @dataclass(frozen=True)
 class Assemblage:
@@ -500,20 +489,46 @@ def _proper_subsets(n: int):
         yield from combinations(range(n), r)
 
 
+def _subset_marginal_residual(table: np.ndarray, n: int) -> float:
+    """Largest change of a party subset's outcome marginal under the other
+    parties' inputs; ``table`` has axes ``a_1..a_n, x_1..x_n`` and any
+    trailing ones."""
+    worst = 0.0
+    for keep in _proper_subsets(n):
+        drop = tuple(k for k in range(n) if k not in keep)
+        marg = table.sum(axis=drop)  # axes: a_keep..., x_1..x_n, ...
+        drop_in_axes = tuple(len(keep) + k for k in drop)
+        mean = marg.mean(axis=drop_in_axes, keepdims=True)
+        worst = max(worst, float(np.max(np.abs(marg - mean))))
+    return worst
+
+
+def _marginal_instrument_residual(blocks: np.ndarray, factors: list[int]) -> float:
+    """Largest Frobenius distance of a subset's outcome-marginal block from
+    the identity on the other parties' inputs tensored with its partial trace.
+
+    ``blocks`` has axes ``a_1..a_n`` and then operators on ``factors``: the
+    ``n`` inputs, then any trailing factors, which every subset keeps.
+    """
+    n, d = blocks.ndim - 2, blocks.shape[0]
+    worst = 0.0
+    for keep in _proper_subsets(n):
+        drop = tuple(k for k in range(n) if k not in keep)
+        d_drop = int(np.prod([factors[k] for k in drop]))
+        kept = list(keep) + list(range(n, len(factors)))
+        marg = blocks.sum(axis=drop)
+        for a_keep in product(range(d), repeat=len(keep)):
+            block = marg[a_keep]
+            candidate = partial_trace_dims(block, factors, kept) / d_drop
+            worst = max(worst, frobenius(block - embed_operator(candidate, factors, kept)))
+    return worst
+
+
 def is_nonsignalling_correlation(
     c: Correlation, tol: float = DEFAULT_TOL
 ) -> tuple[bool, float]:
     """Marginal of every party subset must not depend on the others' inputs."""
-    n, d, m = c.n_parties, c.n_outputs, c.n_inputs
-    if n == 1:
-        return True, 0.0
-    worst = 0.0
-    for keep in _proper_subsets(n):
-        drop = tuple(k for k in range(n) if k not in keep)
-        marg = c.table.sum(axis=drop)  # axes: a_keep..., x_1..x_n
-        drop_in_axes = tuple(len(keep) + k for k in drop)
-        mean = marg.mean(axis=drop_in_axes, keepdims=True)
-        worst = max(worst, float(np.max(np.abs(marg - mean))))
+    worst = _subset_marginal_residual(c.table, c.n_parties)
     return worst < tol, worst
 
 
@@ -521,18 +536,11 @@ def is_nonsignalling_assemblage(
     a: Assemblage, tol: float = DEFAULT_TOL
 ) -> tuple[bool, float]:
     """Subset marginals input-independent, plus the fixed reduced-state rule."""
-    n, m = a.n_untrusted, a.n_inputs
-    worst = 0.0
+    n = a.n_untrusted
     # fixed rho_B across the full input tuple
     summed = a.elements.sum(axis=tuple(range(n)))
     rho = summed.reshape(-1, a.trusted_dim, a.trusted_dim).mean(axis=0)
-    worst = max(worst, float(np.max(np.abs(summed - rho))))
-    for keep in _proper_subsets(n):
-        drop = tuple(k for k in range(n) if k not in keep)
-        marg = a.elements.sum(axis=drop)
-        drop_in_axes = tuple(len(keep) + k for k in drop)
-        mean = marg.mean(axis=drop_in_axes, keepdims=True)
-        worst = max(worst, float(np.max(np.abs(marg - mean))))
+    worst = max(float(np.max(np.abs(summed - rho))), _subset_marginal_residual(a.elements, n))
     return worst < tol, worst
 
 
@@ -540,20 +548,11 @@ def is_nonsignalling_distributed_measurement(
     dm: DistributedMeasurement, tol: float = DEFAULT_TOL
 ) -> tuple[bool, float]:
     """Outcome marginals must be POVMs of the kept parties alone."""
-    n, d = dm.n_parties, dm.n_outputs
-    dims = list(dm.input_dims)
-    worst = 0.0
-    total = dm.elements.sum(axis=tuple(range(n)))
-    worst = max(worst, frobenius(total - np.eye(total.shape[0])))
-    for keep in _proper_subsets(n):
-        drop = tuple(k for k in range(n) if k not in keep)
-        d_drop = int(np.prod([dims[k] for k in drop]))
-        marg = dm.elements.sum(axis=drop)
-        for a_keep in product(range(d), repeat=len(keep)):
-            block = marg[a_keep]
-            candidate = partial_trace_dims(block, dims, keep) / d_drop
-            target = embed_operator(candidate, dims, keep)
-            worst = max(worst, frobenius(block - target))
+    total = dm.elements.sum(axis=tuple(range(dm.n_parties)))
+    worst = max(
+        frobenius(total - np.eye(total.shape[0])),
+        _marginal_instrument_residual(dm.elements, list(dm.input_dims)),
+    )
     return worst < tol, worst
 
 
@@ -561,25 +560,13 @@ def is_nonsignalling_teleportage(
     t: Teleportage, tol: float = DEFAULT_TOL
 ) -> tuple[bool, float]:
     """Marginal instruments well-defined and the total channel constant."""
-    n, d = t.n_parties, t.n_outputs
-    d_b = t.trusted_dim
-    dims_k = list(t.input_dims)
-    worst = 0.0
     # grand sum: constant channel onto a fixed rho_B
     total = t.total_choi()
-    rho_b = partial_trace_dims(total, [t.dim_in, d_b], keep=[1]) / t.dim_in
-    worst = max(worst, frobenius(total - np.kron(np.eye(t.dim_in), rho_b)))
-    for keep in _proper_subsets(n):
-        drop = tuple(k for k in range(n) if k not in keep)
-        d_drop = int(np.prod([dims_k[k] for k in drop]))
-        marg = t.blocks.sum(axis=drop)
-        full_dims = dims_k + [d_b]
-        keep_full = list(keep) + [n]
-        for a_keep in product(range(d), repeat=len(keep)):
-            block = marg[a_keep]
-            candidate = partial_trace_dims(block, full_dims, keep_full) / d_drop
-            target = embed_operator(candidate, full_dims, keep_full)
-            worst = max(worst, frobenius(block - target))
+    rho_b = partial_trace_dims(total, [t.dim_in, t.trusted_dim], keep=[1]) / t.dim_in
+    worst = max(
+        frobenius(total - np.kron(np.eye(t.dim_in), rho_b)),
+        _marginal_instrument_residual(t.blocks, list(t.input_dims) + [t.trusted_dim]),
+    )
     return worst < tol, worst
 
 

@@ -3,7 +3,8 @@
 Every document is ``{"kind": ..., "version": "1", "payload": ...}``; complex
 numbers are stored as ``[re, im]`` pairs and matrices row-major.  Canonical
 serialization emits table keys in ``(x_vec, a_vec)`` lexicographic order
-(indices zero-padded), so repeated serializations are byte-identical.  The
+(indices zero-padded), so repeated serializations are byte-identical, and
+parsing accepts a table only if it holds exactly those keys.  The
 text is exactly what ``json.dumps(doc, indent=2)`` writes; payload builders
 keep matrices as complex arrays and :func:`canonical_json` formats each one
 in bulk.  Decoding converts a matrix with one ``np.array`` call and walks
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from itertools import chain, product
 from json.encoder import encode_basestring_ascii
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .causality import CausalityReport
 from .channels import Channel, CircuitChannel, CircuitGate, CircuitParty, Party
-from .linalg import SystemLayout, Subsystem
+from .linalg import ROLES, SystemLayout, Subsystem
 from .membership import FeasibilityReport
 from .scenarios import Assemblage, Correlation, DistributedMeasurement, Teleportage
 
@@ -189,24 +191,58 @@ def _decode_vector(value, path: str) -> np.ndarray:
     return np.array([_decode_complex(v, f"{path}[{k}]") for k, v in enumerate(value)])
 
 
-def _index_key(prefix: str, vec: tuple[int, ...]) -> str:
-    return prefix + ",".join(f"{v:03d}" for v in vec)
+def _table_keys(n: int, d: int, m: int | None = None) -> dict[str, tuple[int, ...]]:
+    """The canonical ``key -> array index`` map of an ``n``-party table.
+
+    Keys run ``"x=..|a=.."`` over ``(x_vec, a_vec)`` lexicographically, or
+    ``"a=.."`` over ``a_vec`` without inputs (``m`` is ``None``), indices
+    zero-padded to three digits; the index is ``a_vec + x_vec``, the axis
+    order of the stored arrays.
+    """
+    def code(vec: tuple[int, ...]) -> str:
+        return ",".join(f"{v:03d}" for v in vec)
+
+    outcomes = list(product(range(d), repeat=n))
+    if m is None:
+        return {"a=" + code(a_vec): a_vec for a_vec in outcomes}
+    return {
+        f"x={code(x_vec)}|a={code(a_vec)}": a_vec + x_vec
+        for x_vec in product(range(m), repeat=n)
+        for a_vec in outcomes
+    }
 
 
-def _parse_index_key(key: str, prefix: str, length: int, path: str) -> tuple[int, ...]:
-    if not key.startswith(prefix):
-        raise DocumentError(path, f"key {key!r} must start with {prefix!r}")
-    parts = key[len(prefix) :].split(",")
-    if len(parts) != length:
-        raise DocumentError(path, f"key {key!r} must carry {length} indices")
+def _read_table(payload, name: str, path: str, keys: dict, shape: tuple, block: int = 0):
+    """The array of index shape ``shape`` held by the table ``payload[name]``.
+
+    The table must hold exactly the canonical ``keys``.  Each value is
+    written at its key's index: a probability, or a ``block`` x ``block``
+    matrix when ``block`` is given.
+    """
+    table = _field(payload, name, dict, path)
+    if table.keys() != keys.keys():
+        unexpected = [key for key in table if key not in keys]
+        if unexpected:
+            raise DocumentError(f"{path}.{name}", f"unexpected key {unexpected[0]!r}")
+        missing = next(key for key in keys if key not in table)
+        raise DocumentError(f"{path}.{name}", f"missing key {missing!r}")
+    if block:
+        out = np.zeros(shape + (block, block), dtype=complex)
+        decode = partial(_decode_matrix, shape=(block, block))
+    else:
+        out, decode = np.zeros(shape), _probability
+    for key, value in table.items():
+        out[keys[key]] = decode(value, f"{path}.{name}[{key!r}]")
+    return out
+
+
+def _probability(value, path: str) -> float:
+    if not _is_number(value):
+        raise DocumentError(path, "probability must be a number")
     try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise DocumentError(path, f"non-integer index in key {key!r}") from None
-
-
-def _table_key(x_vec: tuple[int, ...], a_vec: tuple[int, ...]) -> str:
-    return _index_key("x=", x_vec) + "|" + _index_key("a=", a_vec)
+        return float(value)
+    except OverflowError:
+        raise DocumentError(path, "number out of float range") from None
 
 
 # -- per-kind payloads ----------------------------------------------------------
@@ -283,7 +319,7 @@ def _circuit_from_payload(payload: dict, path: str) -> CircuitChannel:
             Subsystem(
                 _field(spec, "label", str, sub),
                 _count(spec, "dim", sub),
-                spec.get("role", "ancilla"),
+                _role(spec, sub),
             )
         )
     parties = []
@@ -325,10 +361,7 @@ def _circuit_from_payload(payload: dict, path: str) -> CircuitChannel:
 
 def _correlation_payload(c: Correlation) -> dict:
     n, d, m = c.n_parties, c.n_outputs, c.n_inputs
-    entries = {}
-    for x_vec in product(range(m), repeat=n):
-        for a_vec in product(range(d), repeat=n):
-            entries[_table_key(x_vec, a_vec)] = float(c.table[a_vec + x_vec])
+    entries = {key: float(c.table[i]) for key, i in _table_keys(n, d, m).items()}
     return {"n_parties": n, "n_inputs": m, "n_outputs": d, "entries": entries}
 
 
@@ -336,23 +369,7 @@ def _correlation_from_payload(payload: dict, path: str) -> Correlation:
     n = _count(payload, "n_parties", path)
     m = _count(payload, "n_inputs", path)
     d = _count(payload, "n_outputs", path)
-    entries = _field(payload, "entries", dict, path)
-    table = np.zeros((d,) * n + (m,) * n)
-    expected = (m**n) * (d**n)
-    if len(entries) != expected:
-        raise DocumentError(f"{path}.entries", f"expected {expected} entries")
-    for key, value in entries.items():
-        x_part, _, a_part = key.partition("|")
-        x_vec = _parse_index_key(x_part, "x=", n, f"{path}.entries")
-        a_vec = _parse_index_key(a_part, "a=", n, f"{path}.entries")
-        if not _is_number(value):
-            raise DocumentError(f"{path}.entries[{key!r}]", "probability must be a number")
-        try:
-            table[a_vec + x_vec] = float(value)
-        except IndexError:
-            raise DocumentError(f"{path}.entries[{key!r}]", "index out of range") from None
-        except OverflowError:
-            raise DocumentError(f"{path}.entries[{key!r}]", "number out of float range") from None
+    table = _read_table(payload, "entries", path, _table_keys(n, d, m), (d,) * n + (m,) * n)
     try:
         c = Correlation(table)
         c.validate(1e-7)
@@ -363,16 +380,12 @@ def _correlation_from_payload(payload: dict, path: str) -> Correlation:
 
 def _assemblage_payload(a: Assemblage) -> dict:
     n, d, m = a.n_untrusted, a.n_outputs, a.n_inputs
-    elements = {}
-    for x_vec in product(range(m), repeat=n):
-        for a_vec in product(range(d), repeat=n):
-            elements[_table_key(x_vec, a_vec)] = _matrix(a.element(a_vec, x_vec))
     return {
         "n_untrusted": n,
         "n_inputs": m,
         "n_outputs": d,
         "trusted_dim": a.trusted_dim,
-        "elements": elements,
+        "elements": {key: _matrix(a.elements[i]) for key, i in _table_keys(n, d, m).items()},
     }
 
 
@@ -381,15 +394,8 @@ def _assemblage_from_payload(payload: dict, path: str) -> Assemblage:
     m = _count(payload, "n_inputs", path)
     d = _count(payload, "n_outputs", path)
     d_b = _count(payload, "trusted_dim", path)
-    raw = _field(payload, "elements", dict, path)
-    elements = np.zeros((d,) * n + (m,) * n + (d_b, d_b), dtype=complex)
-    for key, value in raw.items():
-        x_part, _, a_part = key.partition("|")
-        x_vec = _parse_index_key(x_part, "x=", n, f"{path}.elements")
-        a_vec = _parse_index_key(a_part, "a=", n, f"{path}.elements")
-        elements[a_vec + x_vec] = _decode_matrix(
-            value, f"{path}.elements[{key!r}]", (d_b, d_b)
-        )
+    shape = (d,) * n + (m,) * n
+    elements = _read_table(payload, "elements", path, _table_keys(n, d, m), shape, d_b)
     try:
         a = Assemblage(elements)
         a.validate(1e-7)
@@ -400,13 +406,10 @@ def _assemblage_from_payload(payload: dict, path: str) -> Assemblage:
 
 def _measurement_payload(dm: DistributedMeasurement) -> dict:
     n, d = dm.n_parties, dm.n_outputs
-    elements = {}
-    for a_vec in product(range(d), repeat=n):
-        elements[_index_key("a=", a_vec)] = _matrix(dm.element(a_vec))
     return {
         "input_dims": list(dm.input_dims),
         "n_outputs": d,
-        "elements": elements,
+        "elements": {key: _matrix(dm.elements[i]) for key, i in _table_keys(n, d).items()},
     }
 
 
@@ -415,11 +418,7 @@ def _measurement_from_payload(payload: dict, path: str) -> DistributedMeasuremen
     d = _count(payload, "n_outputs", path)
     n = len(dims)
     d_tot = int(np.prod(dims))
-    raw = _field(payload, "elements", dict, path)
-    elements = np.zeros((d,) * n + (d_tot, d_tot), dtype=complex)
-    for key, value in raw.items():
-        a_vec = _parse_index_key(key, "a=", n, f"{path}.elements")
-        elements[a_vec] = _decode_matrix(value, f"{path}.elements[{key!r}]", (d_tot, d_tot))
+    elements = _read_table(payload, "elements", path, _table_keys(n, d), (d,) * n, d_tot)
     try:
         dm = DistributedMeasurement(elements, dims)
         dm.validate(1e-7)
@@ -430,14 +429,11 @@ def _measurement_from_payload(payload: dict, path: str) -> DistributedMeasuremen
 
 def _teleportage_payload(t: Teleportage) -> dict:
     n, d = t.n_parties, t.n_outputs
-    blocks = {}
-    for a_vec in product(range(d), repeat=n):
-        blocks[_index_key("a=", a_vec)] = _matrix(t.block(a_vec))
     return {
         "input_dims": list(t.input_dims),
         "n_outputs": d,
         "trusted_dim": t.trusted_dim,
-        "blocks": blocks,
+        "blocks": {key: _matrix(t.blocks[i]) for key, i in _table_keys(n, d).items()},
     }
 
 
@@ -447,11 +443,7 @@ def _teleportage_from_payload(payload: dict, path: str) -> Teleportage:
     d_b = _count(payload, "trusted_dim", path)
     n = len(dims)
     d_tot = int(np.prod(dims)) * d_b
-    raw = _field(payload, "blocks", dict, path)
-    blocks = np.zeros((d,) * n + (d_tot, d_tot), dtype=complex)
-    for key, value in raw.items():
-        a_vec = _parse_index_key(key, "a=", n, f"{path}.blocks")
-        blocks[a_vec] = _decode_matrix(value, f"{path}.blocks[{key!r}]", (d_tot, d_tot))
+    blocks = _read_table(payload, "blocks", path, _table_keys(n, d), (d,) * n, d_tot)
     try:
         t = Teleportage(blocks, dims, d_b)
         t.validate(1e-7)
@@ -540,6 +532,16 @@ def _input_dims(payload, path: str) -> tuple[int, ...]:
 def _trusted(spec, path: str) -> bool:
     """The optional ``trusted`` flag of a party: absent, or a JSON boolean."""
     return _field(spec, "trusted", bool, path) if "trusted" in spec else False
+
+
+def _role(spec, path: str) -> str:
+    """The optional ``role`` of a circuit register: absent (an ancilla) or one of ``ROLES``."""
+    if "role" not in spec:
+        return "ancilla"
+    role = _field(spec, "role", str, path)
+    if role not in ROLES:
+        raise DocumentError(f"{path}.role", f"unknown role {role!r}")
+    return role
 
 
 def serialize(obj) -> str:

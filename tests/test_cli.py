@@ -139,6 +139,19 @@ class TestExitCodes:
         assert code == 2
         assert "out of range" in err
 
+    def test_out_of_range_table_key_is_validation_error(self, capsys, tmp_path):
+        ch_file, doc_file = str(tmp_path / "steer.json"), tmp_path / "assemblage.json"
+        run(capsys, "construct", "pq-steering-pr", "-o", ch_file)
+        run(capsys, "extract", "assemblage", ch_file, "-o", str(doc_file))
+        doc = json.loads(doc_file.read_text())
+        doc["payload"]["elements"] = {
+            k.replace("a=000,001", "a=000,002"): v for k, v in doc["payload"]["elements"].items()
+        }
+        doc_file.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "classify", "lhs", str(doc_file))
+        assert code == 2
+        assert "$.payload.elements: unexpected key 'x=000,000|a=000,002'" in err
+
     def test_env_tolerance_override(self, capsys, tmp_path, monkeypatch):
         ch_file = str(tmp_path / "pr.json")
         run(capsys, "construct", "pr-box", "-o", ch_file)
@@ -153,6 +166,9 @@ class TestFlagValidation:
         monkeypatch.delenv("WORKBENCH_TOL", raising=False)
         assert _build_parser().parse_args(["demo", "singlet"]).max_iter == MAX_ITERATIONS
         assert _tolerance(None) == FEASIBILITY_TOL
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
 
     def test_non_numeric_env_tolerance_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("WORKBENCH_TOL", "abc")

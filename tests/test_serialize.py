@@ -182,6 +182,44 @@ def _set(*path):
     return mutate
 
 
+def _rename(table, old, new):
+    """Mutation renaming key ``old`` of ``payload[table]``, keeping its position."""
+
+    def mutate(doc):
+        entries = doc["payload"][table]
+        doc["payload"][table] = {new if k == old else k: v for k, v in entries.items()}
+
+    return mutate
+
+
+def _drop(table, key):
+    """Mutation deleting ``payload[table][key]``."""
+    return lambda doc: doc["payload"][table].pop(key)
+
+
+def _extra(table, key):
+    """Mutation appending ``key`` with a copy of the first value of ``payload[table]``."""
+
+    def mutate(doc):
+        entries = doc["payload"][table]
+        entries[key] = next(iter(entries.values()))
+
+    return mutate
+
+
+def _key_cases(kind, make, table, first, missing, renames, extra):
+    """Rows for a table whose keys are renamed (out of range, negative,
+    unpadded), missing or extra: each names the offending key."""
+    path = f"$.payload.{table}"
+    rows = {
+        f"{kind}-key-{case}": (make, _rename(table, first, bad), path, f"unexpected key {bad!r}")
+        for case, bad in renames.items()
+    }
+    rows[f"{kind}-key-missing"] = (make, _drop(table, missing), path, f"missing key {missing!r}")
+    rows[f"{kind}-key-extra"] = (make, _extra(table, extra), path, f"unexpected key {extra!r}")
+    return rows
+
+
 _KEY = "x=000,000|a=000,000"
 _ELEMENT = f"$.payload.elements[{_KEY!r}]"
 _PAIRS = "complex entries must be [re, im] number pairs"
@@ -189,8 +227,9 @@ _NAN = [float("nan"), 0.0]
 _POSITIVE = "expected a positive integer"
 
 # (document, mutation, DocumentError path, message): the exact errors the
-# per-entry decoder has always raised for malformed matrices and vectors, and
-# those of the dimension, count and ``trusted`` fields.
+# per-entry decoder has always raised for malformed matrices and vectors,
+# those of the dimension, count, ``trusted`` and ``role`` fields, and those of
+# tables whose keys are not exactly the canonical ones.
 ERROR_CASES = {
     "ragged-rows": (
         _choi_doc, lambda d: d["payload"]["choi"][1].pop(), "$.payload.choi[1]",
@@ -330,6 +369,44 @@ ERROR_CASES = {
     ),
     "measurement-n-outputs-zero": (
         _measurement_doc, _set("n_outputs", 0), "$.payload.n_outputs", _POSITIVE,
+    ),
+    "register-role-number": (
+        _circuit_doc, _set("registers", 0, "role", 5), "$.payload.registers[0].role",
+        "expected str",
+    ),
+    "register-role-unknown": (
+        _circuit_doc, _set("registers", 2, "role", "foo"), "$.payload.registers[2].role",
+        "unknown role 'foo'",
+    ),
+    **_key_cases(
+        "correlation", _correlation_doc, "entries", "x=000,000|a=000,001",
+        "x=001,000|a=001,000",
+        {
+            "out-of-range": "x=002,000|a=000,001",
+            "negative": "x=000,000|a=000,-01",
+            "unpadded": "x=0,0|a=0,1",
+        },
+        "x=000,000,000|a=000,000,000",
+    ),
+    **_key_cases(
+        "assemblage", _assemblage_doc, "elements", "x=000,000|a=000,001",
+        "x=001,001|a=000,000",
+        {
+            "out-of-range": "x=000,000|a=000,002",
+            "negative": "x=-01,000|a=000,001",
+            "unpadded": "x=000,000|a=000,1",
+        },
+        "note",
+    ),
+    **_key_cases(
+        "measurement", _measurement_doc, "elements", "a=000,001", "a=001,000",
+        {"out-of-range": "a=000,002", "negative": "a=000,-01", "unpadded": "a=0,1"},
+        "a=000,000,000",
+    ),
+    **_key_cases(
+        "teleportage", _teleportage_doc, "blocks", "a=000,001", "a=001,001",
+        {"out-of-range": "a=002,001", "negative": "a=-01,001", "unpadded": "a=000,01"},
+        "x=000|a=000,000",
     ),
 }
 
