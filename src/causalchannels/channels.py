@@ -4,8 +4,9 @@ A :class:`Channel` stores the *normalized* Choi state
 ``Omega = (Lambda (x) id)(|Phi+><Phi+|)`` with ``|Phi+>`` normalized, so
 ``tr(Omega) = 1``.  The Choi factors are ordered party by party with each
 party's input factor before its output factor (trusted party last), i.e.
-``[in_1, out_1, in_2, out_2, ...]``.  The Choi matrix is read-only, so the
-factor regrouping the channel's action needs is computed once per channel.
+``[in_1, out_1, in_2, out_2, ...]``; maps act on it grouped ``[ins..., outs...]``.
+:attr:`Channel._grouped` and :meth:`Channel.from_grouped` are the only maps
+between the two layouts, and each (read-only) Choi is regrouped once.
 """
 
 from __future__ import annotations
@@ -121,6 +122,16 @@ class Channel:
         g = permute_subsystems_dims(self._choi, self.factor_dims, perm)
         g.flags.writeable = False
         return g.reshape(self.dim_in, self.dim_out, self.dim_in, self.dim_out)
+
+    @classmethod
+    def from_grouped(cls, parties: tuple[Party, ...] | list[Party], grouped) -> Channel:
+        """The channel whose Choi, grouped ``[ins..., outs...]`` (a matrix or
+        ``[in, out, in', out']``), is ``grouped``: the inverse of :attr:`_grouped`."""
+        n = len(parties)
+        dims = [p.dim_in for p in parties] + [p.dim_out for p in parties]
+        d = int(np.prod(dims))
+        perm = [f for k in range(n) for f in (k, n + k)]
+        return cls(parties, permute_subsystems_dims(np.reshape(grouped, (d, d)), dims, perm))
 
     # -- validation -----------------------------------------------------------
 
@@ -243,12 +254,12 @@ class KrausSet:
         return out
 
 
-def kraus_from_choi(ch: Channel, cutoff: float = KRAUS_RANK_CUTOFF) -> KrausSet:
+def kraus_from_choi(ch: Channel) -> KrausSet:
     """Extract Kraus operators from the Choi state.
 
-    Eigenvalues at or below ``cutoff`` are treated as numerical noise and
-    dropped, so the rank of the returned set matches the effective rank of
-    the Choi matrix.
+    Eigenvalues at or below ``KRAUS_RANK_CUTOFF`` are treated as numerical
+    noise and dropped, so the rank of the returned set matches the effective
+    rank of the Choi matrix.
     """
     d = ch.dim_in * ch.dim_out
     unnorm = ch.dim_in * ch._grouped.reshape(d, d)
@@ -257,7 +268,7 @@ def kraus_from_choi(ch: Channel, cutoff: float = KRAUS_RANK_CUTOFF) -> KrausSet:
         raise ValueError(f"choi is not PSD: min eigenvalue {vals.min():.3e}")
     ops = []
     for lam, vec in zip(vals, vecs.T):
-        if lam <= cutoff:
+        if lam <= KRAUS_RANK_CUTOFF:
             continue
         k = np.sqrt(lam) * vec.reshape(ch.dim_in, ch.dim_out).T
         ops.append(np.ascontiguousarray(k))
@@ -266,7 +277,6 @@ def kraus_from_choi(ch: Channel, cutoff: float = KRAUS_RANK_CUTOFF) -> KrausSet:
 
 def choi_from_kraus(ks: KrausSet, parties: tuple[Party, ...] | list[Party]) -> Channel:
     """Assemble a Channel from Kraus operators over the given party layout."""
-    parties = tuple(parties)
     d_in = int(np.prod([p.dim_in for p in parties]))
     d_out = int(np.prod([p.dim_out for p in parties]))
     if (ks.dim_in, ks.dim_out) != (d_in, d_out):
@@ -276,25 +286,14 @@ def choi_from_kraus(ks: KrausSet, parties: tuple[Party, ...] | list[Party]) -> C
         vec = op.T.reshape(-1)  # vec over (in, out) index pair
         grouped += np.outer(vec, vec.conj())
     grouped /= d_in
-    n = len(parties)
-    dims_grouped = [p.dim_in for p in parties] + [p.dim_out for p in parties]
-    # inverse of [ins..., outs...] -> interleaved
-    perm = []
-    for k in range(n):
-        perm.append(k)
-        perm.append(n + k)
-    choi = permute_subsystems_dims(grouped, dims_grouped, perm)
-    return Channel(parties, choi)
+    return Channel.from_grouped(parties, grouped)
 
 
-def identity_channel(dims: tuple[int, ...], trusted_last: bool = False) -> Channel:
-    parties = []
-    for k, d in enumerate(dims):
-        trusted = trusted_last and k == len(dims) - 1
-        parties.append(Party(f"p{k + 1}", d, d, trusted))
+def identity_channel(dims: tuple[int, ...]) -> Channel:
+    parties = [Party(f"p{k + 1}", d, d) for k, d in enumerate(dims)]
     d_tot = int(np.prod(dims))
     ks = KrausSet((np.eye(d_tot, dtype=complex),), d_tot, d_tot)
-    return choi_from_kraus(ks, tuple(parties))
+    return choi_from_kraus(ks, parties)
 
 
 def channel_from_unitary(u: np.ndarray, parties: tuple[Party, ...] | list[Party]) -> Channel:
@@ -432,14 +431,14 @@ class CircuitChannel:
         return tuple(out)
 
 
-def _prep_branches(prep: np.ndarray, cutoff: float = 1e-12) -> list[tuple[float, np.ndarray]]:
+def _prep_branches(prep: np.ndarray) -> list[tuple[float, np.ndarray]]:
     prep = np.asarray(prep, dtype=complex)
     if prep.ndim == 1:
         return [(1.0, prep)]
     vals, vecs = np.linalg.eigh((prep + prep.conj().T) / 2)
     branches = []
     for lam, vec in zip(vals, vecs.T):
-        if lam > cutoff:
+        if lam > 1e-12:
             branches.append((float(lam), vec))
     return branches
 
@@ -476,7 +475,7 @@ def _initial_tensor(
     return state, dims
 
 
-def compile_circuit(circ: CircuitChannel, tol: float = DEFAULT_TOL) -> Channel:
+def compile_circuit(circ: CircuitChannel) -> Channel:
     """Compile a circuit description into its Choi-state channel.
 
     The Choi state is obtained by feeding half of a maximally entangled pair
@@ -508,7 +507,7 @@ def compile_circuit(circ: CircuitChannel, tol: float = DEFAULT_TOL) -> Channel:
 
     assert total_choi is not None
     ch = Channel(parties, total_choi)
-    ch.validate(max(tol, 1e-9))
+    ch.validate()
     return ch
 
 

@@ -94,19 +94,9 @@ def canonical_channel_from_correlations(c: Correlation) -> Channel:
     c.validate()
     n, d, m = c.n_parties, c.n_outputs, c.n_inputs
     parties = tuple(Party(f"p{k + 1}", m, d, False) for k in range(n))
-    dims = []
-    for _ in range(n):
-        dims.extend([m, d])
-    total = int(np.prod(dims))
-    diag = np.zeros(total)
-    t = diag.reshape(tuple(dims))
-    for x_vec in product(range(m), repeat=n):
-        for a_vec in product(range(d), repeat=n):
-            idx = []
-            for k in range(n):
-                idx.extend([x_vec[k], a_vec[k]])
-            t[tuple(idx)] = c.prob(a_vec, x_vec) / m**n
-    return Channel(parties, np.diag(diag).astype(complex))
+    # grouped [x_vec, a_vec] diagonal: the table with its input axes first
+    diag = c.table.transpose(list(range(n, 2 * n)) + list(range(n))).reshape(-1) / m**n
+    return Channel.from_grouped(parties, np.diag(diag))
 
 
 def canonical_channel_from_assemblage(a: Assemblage) -> Channel:
@@ -115,28 +105,15 @@ def canonical_channel_from_assemblage(a: Assemblage) -> Channel:
     if not ok:
         raise ValueError(f"assemblage is signalling (residual {res:.3e})")
     n, d, m, d_b = a.n_untrusted, a.n_outputs, a.n_inputs, a.trusted_dim
-    parties = tuple(Party(f"p{k + 1}", m, d, False) for k in range(n)) + (
-        Party("B", d_b, d_b, True),
-    )
-    dims = []
-    for _ in range(n):
-        dims.extend([m, d])
-    dims.extend([d_b, d_b])
-    total = int(np.prod(dims))
-    choi = np.zeros((total, total), dtype=complex)
-    t = choi.reshape(tuple(dims) * 2)
-    eye_b = np.eye(d_b)
-    colon = (slice(None), slice(None))
-    for x_vec in product(range(m), repeat=n):
-        for a_vec in product(range(d), repeat=n):
-            el = a.element(a_vec, x_vec) / m**n
-            # trusted factors carry (1/d_B) (x) sigma; axes (B_in, B_out) x2
-            block = np.kron(eye_b / d_b, el).reshape(d_b, d_b, d_b, d_b)
-            idx: list[int] = []
-            for k in range(n):
-                idx.extend([x_vec[k], a_vec[k]])
-            t[tuple(idx) + colon + tuple(idx) + colon] = block
-    return Channel(parties, choi)
+    parties = tuple(Party(f"p{k + 1}", m, d) for k in range(n)) + (Party("B", d_b, d_b, True),)
+    # grouped [x_vec, B_in, a_vec, B_out]: the (x_vec, a_vec) diagonal block
+    # is (1/d_B) (x) sigma_{a_vec|x_vec} / m^n on (B_in, B_out)
+    el = a.elements.reshape(d**n, m**n, d_b, d_b).transpose(1, 0, 2, 3) / m**n
+    blocks = (np.eye(d_b) / d_b)[:, None, :, None] * el[:, :, None, :, None, :]
+    grouped = np.zeros((m**n, d_b, d**n, d_b) * 2, dtype=complex)
+    x, out = np.arange(m**n)[:, None], np.arange(d**n)
+    grouped[x, :, out, :, x, :, out, :] = blocks
+    return Channel.from_grouped(parties, grouped)
 
 
 # -- figure circuits ----------------------------------------------------------

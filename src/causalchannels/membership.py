@@ -58,6 +58,7 @@ STALL_RELATIVE_CHANGE = 1e-10
 STRATEGY_CAP = 65536
 WORD_CAP = 400
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
+WITNESS_MARGIN = 1e-6  # a CHSH value must clear a bound by this much
 
 
 @dataclass(frozen=True)
@@ -90,12 +91,12 @@ def _strategy_answers(n: int, m: int, d: int) -> np.ndarray:
     return single[np.indices((d**m,) * n).reshape(n, -1)]
 
 
-def strategy_table(n: int, m: int, d: int, cap: int = STRATEGY_CAP) -> np.ndarray:
+def strategy_table(n: int, m: int, d: int) -> np.ndarray:
     """Indicator table ``D[lam, a_vec..., x_vec...]`` over joint strategies."""
     n_joint = (d**m) ** n
-    if n_joint > cap:
+    if n_joint > STRATEGY_CAP:
         raise ValueError(
-            f"{n_joint} deterministic strategies exceed the configured cap {cap}"
+            f"{n_joint} deterministic strategies exceed the configured cap {STRATEGY_CAP}"
         )
     table = np.ones((n_joint,) + (1,) * (2 * n))
     for k, answer in enumerate(_strategy_answers(n, m, d)):
@@ -126,7 +127,7 @@ class SimplexResult:
 
 
 def simplex_phase1(
-    a_mat: np.ndarray, b_vec: np.ndarray, tol: float = 1e-9, max_pivots: int = 100000
+    a_mat: np.ndarray, b_vec: np.ndarray, max_pivots: int = 100000
 ) -> SimplexResult:
     """Feasibility of ``A x = b, x >= 0`` via artificial variables.
 
@@ -157,7 +158,7 @@ def simplex_phase1(
         costs = tab[-1, : n_cols + n_rows]
         entering = -1
         for j in range(n_cols + n_rows):  # Bland: smallest index
-            if costs[j] < -tol:
+            if costs[j] < -1e-9:
                 entering = j
                 break
         if entering < 0:
@@ -168,7 +169,7 @@ def simplex_phase1(
         col = tab[:n_rows, entering]
         best_ratio, leaving = None, -1
         for i in range(n_rows):
-            if col[i] > tol:
+            if col[i] > 1e-9:
                 ratio = tab[i, -1] / col[i]
                 if (
                     best_ratio is None
@@ -193,7 +194,7 @@ def simplex_phase1(
     return SimplexResult(optimum <= 1e-9, x, float(max(optimum, 0.0)), pivots, capped)
 
 
-def lhv_membership(c: Correlation, cap: int = STRATEGY_CAP) -> FeasibilityReport:
+def lhv_membership(c: Correlation) -> FeasibilityReport:
     """LP feasibility of ``p = sum_lam w_lam D_lam`` with a probability vector w.
 
     ``iterations`` is the simplex pivot count.  A run stopped by the pivot
@@ -201,7 +202,7 @@ def lhv_membership(c: Correlation, cap: int = STRATEGY_CAP) -> FeasibilityReport
     """
     c.validate()
     n, m, d = c.n_parties, c.n_inputs, c.n_outputs
-    table = strategy_table(n, m, d, cap)
+    table = strategy_table(n, m, d)
     n_strat = table.shape[0]
     a_mat = table.reshape(n_strat, -1).T
     b_vec = c.table.reshape(-1)
@@ -307,14 +308,13 @@ def alternating_feasibility(
 
 def lhs_membership(
     a: Assemblage,
-    cap: int = STRATEGY_CAP,
     tol: float = FEASIBILITY_TOL,
     max_iter: int = MAX_ITERATIONS,
 ) -> FeasibilityReport:
     """SDP feasibility of ``sigma_{a|x} = sum_lam D_lam(a|x) sigma_lam``."""
     a.validate()
     n, m, d, d_b = a.n_untrusted, a.n_inputs, a.n_outputs, a.trusted_dim
-    table = strategy_table(n, m, d, cap)
+    table = strategy_table(n, m, d)
     n_strat = table.shape[0]
     flat = table.reshape(n_strat, -1)  # [lam, (a_vec, x_vec)]
     cons = AffineConstraints(flat.T, a.elements.reshape(flat.shape[1], d_b, d_b))
@@ -567,7 +567,6 @@ def attach_assemblage_anchors(sk: MomentSkeleton, a: Assemblage) -> None:
 
 def almost_quantum_assemblage_membership(
     a: Assemblage,
-    cap: int = WORD_CAP,
     tol: float = FEASIBILITY_TOL,
     max_iter: int = MAX_ITERATIONS,
     init: np.ndarray | None = None,
@@ -584,7 +583,7 @@ def almost_quantum_assemblage_membership(
     if not ok:
         raise ValueError(f"assemblage is signalling (residual {ns_res:.3e})")
     n, m, d, d_b = a.n_untrusted, a.n_inputs, a.n_outputs, a.trusted_dim
-    sk = build_moment_skeleton(n, m, d, d_b, cap)
+    sk = build_moment_skeleton(n, m, d, d_b)
     attach_assemblage_anchors(sk, a)
     cons = MomentAffine(sk)
 
@@ -607,7 +606,6 @@ def almost_quantum_assemblage_membership(
 
 def almost_quantum_correlation_membership(
     c: Correlation,
-    cap: int = WORD_CAP,
     tol: float = FEASIBILITY_TOL,
     max_iter: int = MAX_ITERATIONS,
 ) -> FeasibilityReport:
@@ -616,12 +614,10 @@ def almost_quantum_correlation_membership(
     if not ok:
         raise ValueError(f"correlation is signalling (residual {res:.3e})")
     a = Assemblage(c.table[..., None, None].astype(complex))
-    return almost_quantum_assemblage_membership(a, cap, tol, max_iter)
+    return almost_quantum_assemblage_membership(a, tol=tol, max_iter=max_iter)
 
 
-def moment_matrix_from_realization(
-    r: ProjectiveRealization, skeleton: MomentSkeleton | None = None
-) -> MomentMatrix:
+def moment_matrix_from_realization(r: ProjectiveRealization) -> MomentMatrix:
     """Forward moment-matrix construction from a state-commuting realization.
 
     ``Gamma_{u,v} = conj(psi^dag P_u^dag P_v psi)`` over the word products;
@@ -629,11 +625,7 @@ def moment_matrix_from_realization(
     the extracted assemblage, so the anchors match
     :func:`causalchannels.constructions.assemblage_from_commuting_projectors`.
     """
-    if skeleton is None:
-        skeleton = build_moment_skeleton(
-            r.n_parties, r.n_inputs, r.n_outputs, r.trusted_dim
-        )
-    sk = skeleton
+    sk = build_moment_skeleton(r.n_parties, r.n_inputs, r.n_outputs, r.trusted_dim)
     psi = r.state_matrix()
     vectors = []
     for word in sk.words:
@@ -676,9 +668,7 @@ def moment_matrix_from_lhs_model(
     return MomentMatrix(sk, gamma.reshape(sk.flat_dim, sk.flat_dim))
 
 
-def gram_realization(
-    gamma: MomentMatrix, tol: float = 1e-6
-) -> ProjectiveRealization:
+def gram_realization(gamma: MomentMatrix) -> ProjectiveRealization:
     """Recover a state-commuting projector family from a feasible moment matrix.
 
     Factors the conjugated matrix as ``U^dag U``, builds per-(party, input,
@@ -689,7 +679,7 @@ def gram_realization(
     """
     res = gamma.condition_residuals()
     worst = max(res.values())
-    if worst > tol:
+    if worst > 1e-6:
         raise ValueError(f"moment matrix violates its conditions (residual {worst:.3e})")
     sk = gamma.skeleton
     n_w, d_b = sk.n_words, sk.block_dim
@@ -731,13 +721,13 @@ def gram_realization(
     )
 
 
-def _orthonormal_basis(columns: np.ndarray, rcond: float = 1e-9) -> np.ndarray:
+def _orthonormal_basis(columns: np.ndarray) -> np.ndarray:
     if columns.size == 0:
         return np.zeros((columns.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
     if s.size == 0 or s[0] <= 0:
         return np.zeros((columns.shape[0], 0), dtype=complex)
-    keep = s > rcond * s[0]
+    keep = s > 1e-9 * s[0]
     return u[:, keep]
 
 
@@ -745,12 +735,12 @@ def _orthonormal_basis(columns: np.ndarray, rcond: float = 1e-9) -> np.ndarray:
 # CHSH witnesses
 # ----------------------------------------------------------------------------
 
-def tsirelson_witness(c: Correlation, margin: float = 1e-6) -> tuple[float, str]:
+def tsirelson_witness(c: Correlation) -> tuple[float, str]:
     """CHSH-based verdict: beyond ``2 sqrt(2)`` rules out almost-quantum
     (hence quantum) models; beyond 2 rules out local ones."""
     value = chsh_value(c)
-    if abs(value) > TSIRELSON_BOUND + margin:
+    if abs(value) > TSIRELSON_BOUND + WITNESS_MARGIN:
         return value, "not-almost-quantum"
-    if abs(value) > 2.0 + margin:
+    if abs(value) > 2.0 + WITNESS_MARGIN:
         return value, "not-local"
     return value, "inconclusive"

@@ -1,14 +1,17 @@
 """JSON document formats for every workbench object.
 
 Every document is ``{"kind": ..., "version": "1", "payload": ...}``; complex
-numbers are stored as ``[re, im]`` pairs and matrices row-major.  Canonical
-serialization emits table keys in ``(x_vec, a_vec)`` lexicographic order
-(indices zero-padded), so repeated serializations are byte-identical, and
-parsing accepts a table only if it holds exactly those keys.  The
-text is exactly what ``json.dumps(doc, indent=2)`` writes; payload builders
-keep matrices as complex arrays and :func:`canonical_json` formats each one
-in bulk.  Decoding converts a matrix with one ``np.array`` call and walks
-its entries only to name the first malformed one.
+numbers are stored as ``[re, im]`` pairs and matrices row-major.  ``_KINDS``
+maps each kind to its exact type, payload writer and reader (reports, kind
+``report``, are only written); each reader validates through :func:`_checked`,
+and no JSON object may repeat a key.  Canonical serialization emits table
+keys in ``(x_vec, a_vec)`` lexicographic order (indices zero-padded), so
+repeated serializations are byte-identical, and parsing accepts a table only
+if it holds exactly those keys.  The text is exactly what
+``json.dumps(doc, indent=2)`` writes; payload builders keep matrices as
+complex arrays and :func:`canonical_json` formats each one in bulk.  Decoding
+converts a matrix with one ``np.array`` call and walks its entries only to
+name the first malformed one.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .membership import FeasibilityReport
 from .scenarios import Assemblage, Correlation, DistributedMeasurement, Teleportage
 
 VERSION = "1"
+DOCUMENT_TOL = 1e-7  # validation tolerance of a parsed object
 
 
 class DocumentError(ValueError):
@@ -245,6 +249,17 @@ def _probability(value, path: str) -> float:
         raise DocumentError(path, "number out of float range") from None
 
 
+def _checked(path: str, tol: float, build):
+    """The object ``build()`` returns, validated at ``tol``; a ``ValueError``
+    from either step is reported at ``path``."""
+    try:
+        obj = build()
+        obj.validate(tol)
+    except ValueError as exc:
+        raise DocumentError(path, str(exc)) from None
+    return obj
+
+
 # -- per-kind payloads ----------------------------------------------------------
 
 def _channel_payload(ch: Channel) -> dict:
@@ -262,7 +277,7 @@ def _channel_payload(ch: Channel) -> dict:
     }
 
 
-def _channel_from_payload(payload: dict, path: str, tol: float = 1e-7) -> Channel:
+def _channel_from_payload(payload: dict, path: str) -> Channel:
     parties = []
     for k, spec in enumerate(_field(payload, "parties", list, path)):
         sub = f"{path}.parties[{k}]"
@@ -275,12 +290,7 @@ def _channel_from_payload(payload: dict, path: str, tol: float = 1e-7) -> Channe
             )
         )
     choi = _decode_matrix(_field(payload, "choi", list, path), f"{path}.choi")
-    try:
-        ch = Channel(tuple(parties), choi)
-        ch.validate(tol)
-    except ValueError as exc:
-        raise DocumentError(f"{path}.choi", str(exc)) from None
-    return ch
+    return _checked(f"{path}.choi", DOCUMENT_TOL, lambda: Channel(tuple(parties), choi))
 
 
 def _circuit_payload(circ: CircuitChannel) -> dict:
@@ -351,12 +361,11 @@ def _circuit_from_payload(payload: dict, path: str) -> CircuitChannel:
                 tuple(_field(spec, "acts_on", list, sub)),
             )
         )
-    try:
-        circ = CircuitChannel(SystemLayout(tuple(subs)), tuple(parties), prep, tuple(gates))
-        circ.validate()
-    except ValueError as exc:
-        raise DocumentError(path, str(exc)) from None
-    return circ
+    return _checked(
+        path,
+        1e-8,
+        lambda: CircuitChannel(SystemLayout(tuple(subs)), tuple(parties), prep, tuple(gates)),
+    )
 
 
 def _correlation_payload(c: Correlation) -> dict:
@@ -370,12 +379,7 @@ def _correlation_from_payload(payload: dict, path: str) -> Correlation:
     m = _count(payload, "n_inputs", path)
     d = _count(payload, "n_outputs", path)
     table = _read_table(payload, "entries", path, _table_keys(n, d, m), (d,) * n + (m,) * n)
-    try:
-        c = Correlation(table)
-        c.validate(1e-7)
-    except ValueError as exc:
-        raise DocumentError(f"{path}.entries", str(exc)) from None
-    return c
+    return _checked(f"{path}.entries", DOCUMENT_TOL, lambda: Correlation(table))
 
 
 def _assemblage_payload(a: Assemblage) -> dict:
@@ -396,12 +400,7 @@ def _assemblage_from_payload(payload: dict, path: str) -> Assemblage:
     d_b = _count(payload, "trusted_dim", path)
     shape = (d,) * n + (m,) * n
     elements = _read_table(payload, "elements", path, _table_keys(n, d, m), shape, d_b)
-    try:
-        a = Assemblage(elements)
-        a.validate(1e-7)
-    except ValueError as exc:
-        raise DocumentError(f"{path}.elements", str(exc)) from None
-    return a
+    return _checked(f"{path}.elements", DOCUMENT_TOL, lambda: Assemblage(elements))
 
 
 def _measurement_payload(dm: DistributedMeasurement) -> dict:
@@ -419,12 +418,9 @@ def _measurement_from_payload(payload: dict, path: str) -> DistributedMeasuremen
     n = len(dims)
     d_tot = int(np.prod(dims))
     elements = _read_table(payload, "elements", path, _table_keys(n, d), (d,) * n, d_tot)
-    try:
-        dm = DistributedMeasurement(elements, dims)
-        dm.validate(1e-7)
-    except ValueError as exc:
-        raise DocumentError(f"{path}.elements", str(exc)) from None
-    return dm
+    return _checked(
+        f"{path}.elements", DOCUMENT_TOL, lambda: DistributedMeasurement(elements, dims)
+    )
 
 
 def _teleportage_payload(t: Teleportage) -> dict:
@@ -444,12 +440,7 @@ def _teleportage_from_payload(payload: dict, path: str) -> Teleportage:
     n = len(dims)
     d_tot = int(np.prod(dims)) * d_b
     blocks = _read_table(payload, "blocks", path, _table_keys(n, d), (d,) * n, d_tot)
-    try:
-        t = Teleportage(blocks, dims, d_b)
-        t.validate(1e-7)
-    except ValueError as exc:
-        raise DocumentError(f"{path}.blocks", str(exc)) from None
-    return t
+    return _checked(f"{path}.blocks", DOCUMENT_TOL, lambda: Teleportage(blocks, dims, d_b))
 
 
 def causality_report_payload(rep: CausalityReport) -> dict:
@@ -492,13 +483,20 @@ def feasibility_report_payload(rep: FeasibilityReport) -> dict:
 
 # -- top level ------------------------------------------------------------------
 
-_KIND_BY_TYPE = {
-    Channel: "channel",
-    CircuitChannel: "circuit",
-    Correlation: "correlation",
-    Assemblage: "assemblage",
-    DistributedMeasurement: "distributed-measurement",
-    Teleportage: "teleportage",
+# kind -> (type, payload writer, payload reader); a type is matched exactly
+_KINDS = {
+    "channel": (Channel, _channel_payload, _channel_from_payload),
+    "circuit": (CircuitChannel, _circuit_payload, _circuit_from_payload),
+    "correlation": (Correlation, _correlation_payload, _correlation_from_payload),
+    "assemblage": (Assemblage, _assemblage_payload, _assemblage_from_payload),
+    "distributed-measurement": (
+        DistributedMeasurement, _measurement_payload, _measurement_from_payload
+    ),
+    "teleportage": (Teleportage, _teleportage_payload, _teleportage_from_payload),
+}
+_REPORTS = {
+    CausalityReport: causality_report_payload,
+    FeasibilityReport: feasibility_report_payload,
 }
 
 
@@ -546,36 +544,33 @@ def _role(spec, path: str) -> str:
 
 def serialize(obj) -> str:
     """Serialize a workbench object to canonical JSON text."""
-    if isinstance(obj, Channel):
-        payload = _channel_payload(obj)
-    elif isinstance(obj, CircuitChannel):
-        payload = _circuit_payload(obj)
-    elif isinstance(obj, Correlation):
-        payload = _correlation_payload(obj)
-    elif isinstance(obj, Assemblage):
-        payload = _assemblage_payload(obj)
-    elif isinstance(obj, DistributedMeasurement):
-        payload = _measurement_payload(obj)
-    elif isinstance(obj, Teleportage):
-        payload = _teleportage_payload(obj)
-    elif isinstance(obj, CausalityReport):
-        return canonical_json(
-            {"kind": "report", "version": VERSION, "payload": causality_report_payload(obj)}
-        )
-    elif isinstance(obj, FeasibilityReport):
-        return canonical_json(
-            {"kind": "report", "version": VERSION, "payload": feasibility_report_payload(obj)}
-        )
+    if type(obj) in _REPORTS:
+        kind, write = "report", _REPORTS[type(obj)]
     else:
-        raise DocumentError("$", f"cannot serialize objects of type {type(obj).__name__}")
-    kind = _KIND_BY_TYPE[type(obj)]
-    return canonical_json({"kind": kind, "version": VERSION, "payload": payload})
+        for kind, (typ, write, _) in _KINDS.items():
+            if type(obj) is typ:
+                break
+        else:
+            raise DocumentError("$", f"cannot serialize objects of type {type(obj).__name__}")
+    return canonical_json({"kind": kind, "version": VERSION, "payload": write(obj)})
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its ``(key, value)`` pairs; a repeated key is an error."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DocumentError("$", f"repeated key {key!r}")
+            seen.add(key)
+    return obj
 
 
 def parse(text: str):
     """Parse a workbench document, validating schema and object invariants."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError("$", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -585,16 +580,6 @@ def parse(text: str):
     if version != VERSION:
         raise DocumentError("$.version", f"unsupported version {version!r}")
     payload = _field(doc, "payload", dict, "$")
-    if kind == "channel":
-        return _channel_from_payload(payload, "$.payload")
-    if kind == "circuit":
-        return _circuit_from_payload(payload, "$.payload")
-    if kind == "correlation":
-        return _correlation_from_payload(payload, "$.payload")
-    if kind == "assemblage":
-        return _assemblage_from_payload(payload, "$.payload")
-    if kind == "distributed-measurement":
-        return _measurement_from_payload(payload, "$.payload")
-    if kind == "teleportage":
-        return _teleportage_from_payload(payload, "$.payload")
-    raise DocumentError("$.kind", f"unknown document kind {kind!r}")
+    if kind not in _KINDS:
+        raise DocumentError("$.kind", f"unknown document kind {kind!r}")
+    return _KINDS[kind][2](payload, "$.payload")

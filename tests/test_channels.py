@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from causalchannels import (
+    Assemblage,
     Channel,
     CircuitChannel,
     CircuitGate,
     CircuitParty,
+    Correlation,
     KrausSet,
     Party,
     SystemLayout,
+    canonical_channel_from_assemblage,
+    canonical_channel_from_correlations,
     choi_from_kraus,
     compile_circuit,
     compose_parallel,
@@ -22,6 +26,7 @@ from causalchannels import (
 from causalchannels.channels import channel_from_unitary
 from causalchannels.constructions import HADAMARD, pr_box_channel, pr_box_kraus_channel
 from causalchannels.linalg import basis_state, max_entangled, projector
+from conftest import pr_table
 
 
 def random_density(rng, dim):
@@ -228,6 +233,27 @@ class TestCompose:
         a = random_channel(rng, 2, 3)
         with pytest.raises(ValueError, match="dim"):
             compose_serial(a, a)
+
+
+class TestGroupedLayout:
+    def test_from_grouped_inverts_grouped(
+        self, pr_channel, singlet_channel, pq_pr_channel, pq_alpha_channel
+    ):
+        el = (np.full((2, 2, 2, 2), 0.25)[..., None, None] * np.eye(3) / 3).astype(complex)
+        gallery = [
+            pr_channel,
+            singlet_channel,
+            pq_pr_channel,
+            pq_alpha_channel,
+            canonical_channel_from_correlations(Correlation(pr_table())),
+            canonical_channel_from_assemblage(Assemblage(el)),
+            identity_channel((2, 3)),
+        ]
+        for ch in gallery:
+            back = Channel.from_grouped(ch.parties, ch._grouped)
+            assert back.parties == ch.parties
+            assert back.choi.tobytes() == ch.choi.tobytes()
+        assert sum(ch.trusted_party is not None for ch in gallery) == 3
 
 
 class TestChannelValidation:

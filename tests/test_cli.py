@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 
-from causalchannels import Party, serialize
+from causalchannels import Correlation, Party, serialize
 from causalchannels.channels import channel_from_unitary
 from causalchannels.cli import _build_parser, _tolerance, main
 from causalchannels.membership import FEASIBILITY_TOL, MAX_ITERATIONS
@@ -151,6 +151,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "classify", "lhs", str(doc_file))
         assert code == 2
         assert "$.payload.elements: unexpected key 'x=000,000|a=000,002'" in err
+
+    def test_strategy_cap_is_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(serialize(Correlation(np.full((4, 4, 5, 5), 1.0 / 16.0))))
+        code, _, err = run(capsys, "classify", "lhv", str(path))
+        assert code == 2
+        assert "1048576 deterministic strategies exceed the configured cap 65536" in err
 
     def test_env_tolerance_override(self, capsys, tmp_path, monkeypatch):
         ch_file = str(tmp_path / "pr.json")

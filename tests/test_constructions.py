@@ -169,6 +169,58 @@ class TestCanonicalFromAssemblage:
             canonical_channel_from_assemblage(Assemblage(el))
 
 
+def _loop_choi_from_correlations(c: Correlation) -> np.ndarray:
+    """Reference: the canonical Choi written entry by entry in the stored
+    ``[in_1, out_1, ...]`` layout."""
+    n, d, m = c.n_parties, c.n_outputs, c.n_inputs
+    dims = [m, d] * n
+    diag = np.zeros(int(np.prod(dims)))
+    t = diag.reshape(tuple(dims))
+    for x_vec in product(range(m), repeat=n):
+        for a_vec in product(range(d), repeat=n):
+            idx = [v for k in range(n) for v in (x_vec[k], a_vec[k])]
+            t[tuple(idx)] = c.prob(a_vec, x_vec) / m**n
+    return np.diag(diag).astype(complex)
+
+
+def _loop_choi_from_assemblage(a: Assemblage) -> np.ndarray:
+    """Reference: each ``(x_vec, a_vec)`` block ``(1/d_B) (x) sigma / m^n``
+    written into the stored layout, trusted factors last."""
+    n, d, m, d_b = a.n_untrusted, a.n_outputs, a.n_inputs, a.trusted_dim
+    dims = [m, d] * n + [d_b, d_b]
+    total = int(np.prod(dims))
+    choi = np.zeros((total, total), dtype=complex)
+    t = choi.reshape(tuple(dims) * 2)
+    colon = (slice(None), slice(None))
+    for x_vec in product(range(m), repeat=n):
+        for a_vec in product(range(d), repeat=n):
+            el = a.element(a_vec, x_vec) / m**n
+            block = np.kron(np.eye(d_b) / d_b, el).reshape(d_b, d_b, d_b, d_b)
+            idx = tuple(v for k in range(n) for v in (x_vec[k], a_vec[k]))
+            t[idx + colon + idx + colon] = block
+    return choi
+
+
+class TestCanonicalAgainstLoopBuilders:
+    """The grouped-layout builders reproduce the entry-by-entry Choi bitwise."""
+
+    @pytest.mark.parametrize("n, m, d", [(1, 2, 2), (2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2)])
+    def test_correlations(self, rng, n, m, d):
+        t = rng.random((d,) * n + (m,) * n)
+        c = Correlation(t / t.sum(axis=tuple(range(n)), keepdims=True))
+        ch = canonical_channel_from_correlations(c)
+        assert ch.choi.tobytes() == _loop_choi_from_correlations(c).tobytes()
+
+    @pytest.mark.parametrize(
+        "n, m, d, d_b", [(1, 2, 2, 2), (1, 3, 2, 3), (2, 2, 2, 2), (2, 2, 2, 3), (3, 2, 2, 2)]
+    )
+    def test_assemblage(self, rng, n, m, d, d_b):
+        a = random_quantum_assemblage(rng, m=m, d=d, d_b=d_b, n_untrusted=n)
+        ch = canonical_channel_from_assemblage(a)
+        assert ch.parties[-1].trusted
+        assert ch.choi.tobytes() == _loop_choi_from_assemblage(a).tobytes()
+
+
 class TestFigureCircuits:
     def test_pr_box_numbers(self, pr_channel):
         c = correlations_from_channel(pr_channel)

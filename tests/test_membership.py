@@ -144,6 +144,27 @@ class TestLhv:
         with pytest.raises(ValueError, match="cap"):
             lhv_membership(uniform)  # (4^4)^3 joint strategies
 
+    def test_strategy_cap_precedes_the_table(self, monkeypatch):
+        """(2,5,4) has (4^5)^2 = 1048576 joint strategies: both LHV and LHS
+        refuse it by the cap, before any strategy is enumerated."""
+
+        def enumerated(*_):
+            raise AssertionError("strategies enumerated past the cap")
+
+        monkeypatch.setattr(membership, "_strategy_answers", enumerated)
+        table = np.full((4, 4, 5, 5), 1.0 / 16.0)
+        message = "1048576 deterministic strategies exceed the configured cap 65536"
+        with pytest.raises(ValueError, match=message):
+            lhv_membership(Correlation(table))
+        with pytest.raises(ValueError, match=message):
+            lhs_membership(Assemblage(table[..., None, None]))
+
+    def test_word_cap(self):
+        """(2,5,4) has 1 + 2*20 + 20^2 = 441 words, beyond the 400-word cap."""
+        table = np.full((4, 4, 5, 5), 1.0 / 16.0)
+        with pytest.raises(ValueError, match="441 exceeds the configured cap 400"):
+            almost_quantum_correlation_membership(Correlation(table))
+
     def test_strategy_count_invariant(self):
         assert len(enumerate_strategies(2, 2)) == 4
         assert len(enumerate_strategies(3, 2)) == 8

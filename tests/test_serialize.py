@@ -138,6 +138,36 @@ class TestValidation:
             parse(json.dumps(doc))
 
 
+class TestRepeatedKeys:
+    """An object naming a key twice is rejected, not read as its last value;
+    the JSON decoder gives no location, so the path is the document root."""
+
+    @staticmethod
+    def _rejects(text: str, key: str) -> None:
+        with pytest.raises(DocumentError) as info:
+            parse(text)
+        assert info.value.path == "$"
+        assert str(info.value) == f"$: repeated key {key!r}"
+
+    def test_table_key(self):
+        text = serialize(Correlation(np.array([[0.5], [0.5]])))
+        entry = '"x=000|a=000": 0.5,'
+        assert entry in text
+        self._rejects(text.replace(entry, '"x=000|a=000": 0.9, ' + entry), "x=000|a=000")
+
+    def test_version(self):
+        text = serialize(Correlation(pr_table()))
+        field = '"version": "1",'
+        assert field in text
+        self._rejects(text.replace(field, field + " " + field), "version")
+
+    def test_party_field(self):
+        text = serialize(identity_channel((2,)))
+        field = '"dim_in": 2,'
+        assert field in text
+        self._rejects(text.replace(field, '"dim_in": 3, ' + field), "dim_in")
+
+
 def _choi_doc() -> dict:
     return json.loads(serialize(identity_channel((2,))))
 
