@@ -18,7 +18,6 @@ from .channels import (
     compose_serial,
     identity_channel,
     kraus_from_choi,
-    simulate_circuit,
 )
 from .constructions import (
     ProjectiveRealization,

@@ -17,12 +17,11 @@ import numpy as np
 
 from .channels import Channel
 from .linalg import (
-    embed_operator,
-    frobenius,
+    basis_state,
     kron_all,
     partial_trace_dims,
+    product_residual,
     projector,
-    basis_state,
     trace_distance,
 )
 
@@ -102,17 +101,9 @@ def is_semicausal(
     omega_p = partial_trace_dims(ch.choi, dims, keep_after_out)
     dims_p = [dims[f] for f in keep_after_out]
 
-    sender_in_positions = [keep_after_out.index(ch.in_factor(k)) for k in s_idx]
-    d_sender_in = 1
-    for pos in sender_in_positions:
-        d_sender_in *= dims_p[pos]
-
-    kept_positions = [p for p in range(len(dims_p)) if p not in sender_in_positions]
-    sigma = partial_trace_dims(omega_p, dims_p, kept_positions)
-
-    target = embed_operator(sigma / d_sender_in, dims_p, kept_positions)
-    residual = frobenius(omega_p - target)
-    return residual < tol, float(residual), sigma
+    sender_in = [keep_after_out.index(ch.in_factor(k)) for k in s_idx]
+    residual, sigma = product_residual(omega_p, dims_p, sender_in)
+    return residual < tol, residual, sigma
 
 
 def is_causal(ch: Channel, tol: float = CAUSALITY_TOL) -> CausalityReport:

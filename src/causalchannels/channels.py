@@ -21,6 +21,7 @@ from .linalg import (
     SystemLayout,
     apply_gate_to_tensor,
     frobenius,
+    hermitize,
     is_unitary,
     min_eig,
     partial_trace_dims,
@@ -263,7 +264,7 @@ def kraus_from_choi(ch: Channel) -> KrausSet:
     """
     d = ch.dim_in * ch.dim_out
     unnorm = ch.dim_in * ch._grouped.reshape(d, d)
-    vals, vecs = np.linalg.eigh((unnorm + unnorm.conj().T) / 2)
+    vals, vecs = np.linalg.eigh(hermitize(unnorm))
     if vals.min() < -1e-8:
         raise ValueError(f"choi is not PSD: min eigenvalue {vals.min():.3e}")
     ops = []
@@ -435,7 +436,7 @@ def _prep_branches(prep: np.ndarray) -> list[tuple[float, np.ndarray]]:
     prep = np.asarray(prep, dtype=complex)
     if prep.ndim == 1:
         return [(1.0, prep)]
-    vals, vecs = np.linalg.eigh((prep + prep.conj().T) / 2)
+    vals, vecs = np.linalg.eigh(hermitize(prep))
     branches = []
     for lam, vec in zip(vals, vecs.T):
         if lam > 1e-12:
@@ -510,53 +511,3 @@ def compile_circuit(circ: CircuitChannel) -> Channel:
     ch.validate()
     return ch
 
-
-def simulate_circuit(circ: CircuitChannel, input_state: np.ndarray) -> np.ndarray:
-    """Run the circuit directly on a given joint input state.
-
-    ``input_state`` may be a vector or density matrix on the tensor product of
-    the party input registers (in party order).  Returns the output density
-    matrix on the party output registers (in party order).  This path never
-    touches the Choi representation, so it doubles as an independent oracle
-    for :func:`compile_circuit`.
-    """
-    circ.validate()
-    parties = circ.to_channel_parties()
-    reg_labels = list(circ.registers.labels)
-    reg_dims = list(circ.registers.dims)
-    in_dims = [p.dim_in for p in parties]
-    d_in = int(np.prod(in_dims))
-
-    input_state = np.asarray(input_state, dtype=complex)
-    if input_state.ndim == 1:
-        input_state = np.outer(input_state, input_state.conj())
-    if input_state.shape != (d_in, d_in):
-        raise ValueError(f"input state shape {input_state.shape} != ({d_in}, {d_in})")
-
-    in_vals, in_vecs = np.linalg.eigh((input_state + input_state.conj().T) / 2)
-    keep_axes = [reg_labels.index(lab) for lab in circ.keep]
-
-    out = None
-    for weight_anc, anc_vec in _prep_branches(circ.ancilla_prep):
-        for lam, vec in zip(in_vals, in_vecs.T):
-            if lam <= 1e-14:
-                continue
-            # assemble the pure joint state over all registers
-            factors = vec.reshape(tuple(in_dims))
-            axis_names = list(circ.input_registers)
-            anc_labels = list(circ.ancilla_registers)
-            anc_dims = [reg_dims[reg_labels.index(lab)] for lab in anc_labels]
-            state = np.multiply.outer(
-                factors, np.asarray(anc_vec, dtype=complex).reshape(tuple(anc_dims))
-            )
-            axis_names.extend(anc_labels)
-            order = [axis_names.index(lab) for lab in reg_labels]
-            state = np.transpose(state, order)
-            for gate in circ.gates:
-                axes = [reg_labels.index(lab) for lab in gate.acts_on]
-                state = apply_gate_to_tensor(state, gate.unitary, axes, reg_dims)
-            rho = partial_trace_pure(state, reg_dims, keep_axes)
-            term = float(weight_anc * lam) * rho
-            out = term if out is None else out + term
-    assert out is not None
-    return out

@@ -3,9 +3,10 @@
 Contains the canonical measure-and-prepare channels, the PR-box and
 Tsirelson-singlet circuits, both post-quantum steering channels, the
 almost-localizable circuit built from a state-commuting projector family,
-commuting-projector assemblages, and the constructive realizations of
-bipartite non-signalling assemblages and teleportages from a purification
-plus a joint measurement.
+commuting-projector assemblages, the forward maps of the quantum models
+(a state plus measurements to an assemblage, a shared state plus a joint
+measurement to a teleportage), and the constructive realizations of
+bipartite non-signalling assemblages and teleportages in those models.
 """
 
 from __future__ import annotations
@@ -170,22 +171,6 @@ def pr_box_channel() -> CircuitChannel:
         ancilla_prep=anc,
         gates=tuple(gates),
     )
-
-
-def pr_box_kraus_channel() -> Channel:
-    """Hand-built measure-and-prepare form of the PR channel (test oracle)."""
-    from .channels import KrausSet, choi_from_kraus
-
-    ops = []
-    for x in range(2):
-        for y in range(2):
-            for a in range(2):
-                b = a ^ (x & y)
-                ket = np.kron(basis_state(2, a), basis_state(2, b))
-                bra = np.kron(basis_state(2, x), basis_state(2, y))
-                ops.append(np.outer(ket, bra.conj()) / np.sqrt(2))
-    ks = KrausSet(tuple(ops), 4, 4)
-    return choi_from_kraus(ks, (Party("A", 2, 2), Party("B", 2, 2)))
 
 
 def singlet_tsirelson_channel() -> CircuitChannel:
@@ -449,7 +434,48 @@ def assemblage_from_commuting_projectors(r: ProjectiveRealization) -> Assemblage
     return Assemblage(elements)
 
 
-# -- constructive realizations (purification + joint measurement) -------------
+# -- quantum models and their constructive realizations --------------------------
+
+def quantum_assemblage(rho: np.ndarray, povms) -> Assemblage:
+    """Assemblage ``sigma_{a|x} = tr_{1..n}[(M^1_{a_1|x_1} (x) ... (x) 1_B) rho]``.
+
+    ``rho`` is a state on ``H_1 (x) ... (x) H_n (x) H_B`` and ``povms[k][x][a]``
+    are party ``k``'s measurement operators on ``H_k``.
+    """
+    n, m, d = len(povms), len(povms[0]), len(povms[0][0])
+    dims = [len(povms[k][0][0]) for k in range(n)]
+    d_b = rho.shape[0] // int(np.prod(dims))
+    dims.append(d_b)
+    elements = np.zeros((d,) * n + (m,) * n + (d_b, d_b), dtype=complex)
+    for x_vec in product(range(m), repeat=n):
+        for a_vec in product(range(d), repeat=n):
+            effect = kron_all([povms[k][x_vec[k]][a_vec[k]] for k in range(n)] + [np.eye(d_b)])
+            elements[a_vec + x_vec] = partial_trace_dims(effect @ rho, dims, keep=[n])
+    return Assemblage(elements)
+
+
+def quantum_teleportage(rho_rb: np.ndarray, povm, d_k: int) -> Teleportage:
+    """Teleportage ``T_a(rho) = tr_{K,R}[(M_a (x) 1_B)(rho (x) rho_RB)]``.
+
+    ``rho_rb`` is a state shared on ``R (x) B`` and ``povm[a]`` a joint
+    measurement on the input ``K`` (dimension ``d_k``) and ``R``.
+    """
+    d = len(povm)
+    d_r = len(povm[0]) // d_k
+    d_b = rho_rb.shape[0] // d_r
+    blocks = np.zeros((d, d_k * d_b, d_k * d_b), dtype=complex)
+    for s in range(d_k):
+        for t in range(d_k):
+            unit = np.zeros((d_k, d_k), dtype=complex)
+            unit[s, t] = 1.0
+            full = np.kron(unit, rho_rb)  # factors (K, R, B)
+            for a in range(d):
+                out = partial_trace_dims(
+                    np.kron(povm[a], np.eye(d_b)) @ full, [d_k, d_r, d_b], keep=[2]
+                )
+                blocks[a].reshape(d_k, d_b, d_k, d_b)[s, :, t, :] = out
+    return Teleportage(blocks, (d_k,), d_b)
+
 
 def _purify_support(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(lam, v, state)``: the support eigenvalues and eigenvectors (columns)
@@ -476,7 +502,7 @@ def ghjw_realize_assemblage(a: Assemblage) -> tuple[np.ndarray, np.ndarray, floa
     ok, res = is_nonsignalling_assemblage(a)
     if not ok:
         raise ValueError(f"assemblage is signalling (residual {res:.3e})")
-    m, d, d_b = a.n_inputs, a.n_outputs, a.trusted_dim
+    m, d = a.n_inputs, a.n_outputs
     lam, v, state = _purify_support(a.reduced_state())
     r = int(lam.size)
 
@@ -487,17 +513,12 @@ def ghjw_realize_assemblage(a: Assemblage) -> tuple[np.ndarray, np.ndarray, floa
             s = v.conj().T @ a.element((out,), (x,)) @ v  # in the support basis
             povms[x, out] = s.T / scale
 
+    model = quantum_assemblage(projector(state), [povms])
     worst = 0.0
     for x in range(m):
-        total = povms[x].sum(axis=0)
-        worst = max(worst, frobenius(total - np.eye(r)))
+        worst = max(worst, frobenius(povms[x].sum(axis=0) - np.eye(r)))
         for out in range(d):
-            recon = partial_trace_dims(
-                kron_all([povms[x, out], np.eye(d_b)]) @ projector(state),
-                [r, d_b],
-                keep=[1],
-            )
-            worst = max(worst, frobenius(recon - a.element((out,), (x,))))
+            worst = max(worst, frobenius(model.element((out,), (x,)) - a.element((out,), (x,))))
     return state, povms, float(worst)
 
 
@@ -531,18 +552,8 @@ def ghjw_realize_teleportage(t: Teleportage) -> tuple[np.ndarray, np.ndarray, fl
         povm[a_idx] = m_a.reshape(d_k * r, d_k * r)
 
     worst = frobenius(povm.sum(axis=0) - np.eye(d_k * r))
-    psi = projector(state)
-    for s in range(d_k):
-        for u in range(d_k):
-            unit = np.zeros((d_k, d_k), dtype=complex)
-            unit[s, u] = 1.0
-            full = np.kron(unit, psi)  # factors (K, R, B)
-            for a_idx in range(d):
-                out = partial_trace_dims(
-                    np.kron(povm[a_idx], np.eye(d_b)) @ full,
-                    [d_k, r, d_b],
-                    keep=[2],
-                )
-                expected = t.blocks[a_idx].reshape(d_k, d_b, d_k, d_b)[s, :, u, :]
-                worst = max(worst, frobenius(out - expected))
+    model = quantum_teleportage(projector(state), povm, d_k).blocks.reshape(d, d_k, d_b, d_k, d_b)
+    target = t.blocks.reshape(d, d_k, d_b, d_k, d_b)
+    for a_idx, s, u in product(range(d), range(d_k), range(d_k)):
+        worst = max(worst, frobenius(model[a_idx, s, :, u] - target[a_idx, s, :, u]))
     return state, povm, float(worst)

@@ -2,7 +2,9 @@
 
 Everything in this package stores operators as plain ``numpy`` arrays of
 ``complex128``; this module provides the tensor bookkeeping (Kronecker
-products, partial traces, subsystem permutations), spectral routines and
+products, partial traces, subsystem permutations), the one product-form
+comparison ``m`` vs ``tr_S(m) / d_S (x) 1_S`` behind every causality and
+non-signalling check (:func:`product_residual`), spectral routines and
 validity predicates that the rest of the package builds on.
 
 Subsystem ordering convention: party 1 is the leftmost tensor factor,
@@ -73,9 +75,6 @@ class SystemLayout:
         except KeyError:
             raise ValueError(f"unknown subsystem label {label!r}") from None
 
-    def indices(self, labels: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self.index(lab) for lab in labels)
-
     def dim_of(self, labels: Iterable[str]) -> int:
         out = 1
         for lab in labels:
@@ -86,11 +85,6 @@ class SystemLayout:
 # ----------------------------------------------------------------------------
 # Tensor construction helpers
 # ----------------------------------------------------------------------------
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices; dimensions multiply."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
 
 def kron_all(ops: Sequence[np.ndarray]) -> np.ndarray:
     out = np.asarray(ops[0], dtype=complex)
@@ -110,12 +104,6 @@ def basis_state(dim: int, index: int) -> np.ndarray:
 def projector(vector: np.ndarray) -> np.ndarray:
     v = np.asarray(vector, dtype=complex).reshape(-1)
     return np.outer(v, v.conj())
-
-
-def max_entangled(dim: int) -> np.ndarray:
-    """Normalized maximally entangled vector on C^dim x C^dim."""
-    v = np.eye(dim, dtype=complex).reshape(-1)
-    return v / np.sqrt(dim)
 
 
 # ----------------------------------------------------------------------------
@@ -162,13 +150,6 @@ def partial_trace_dims(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) 
     return np.ascontiguousarray(t.reshape(d_keep, d_keep))
 
 
-def partial_trace(m: np.ndarray, layout: SystemLayout, traced: Iterable[str]) -> np.ndarray:
-    """Reduced matrix after tracing out the labelled subsystems."""
-    traced_idx = set(layout.indices(traced))
-    keep = [k for k in range(len(layout.subsystems)) if k not in traced_idx]
-    return partial_trace_dims(m, layout.dims, keep)
-
-
 def partial_trace_pure(vec: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Reduced density matrix of a pure state, keeping the given subsystems.
 
@@ -208,23 +189,29 @@ def permute_subsystems_dims(
     return np.ascontiguousarray(t.reshape(m.shape))
 
 
-def embed_operator(
-    op: np.ndarray, dims: Sequence[int], positions: Sequence[int]
-) -> np.ndarray:
-    """Embed ``op`` (acting on the factors listed in ``positions``) into the
-    full space described by ``dims``, tensoring identity elsewhere."""
+def product_residual(
+    m: np.ndarray, dims: Sequence[int], traced: Sequence[int]
+) -> tuple[float, np.ndarray]:
+    """Distance of ``m`` from the product form ``sigma / d (x) 1`` on the
+    ``traced`` factors (indices into ``dims``), every factor kept in place.
+
+    Returns ``(residual, sigma)``: ``sigma = tr_traced(m)`` on the other
+    factors in their order, ``d`` the traced dimension, and the residual the
+    Frobenius distance of ``m`` from that product.
+    """
     n = len(dims)
-    positions = list(positions)
-    rest = [k for k in range(n) if k not in positions]
-    d_rest = 1
-    for k in rest:
-        d_rest *= dims[k]
-    big = np.kron(np.asarray(op, dtype=complex), np.eye(d_rest, dtype=complex))
-    # big acts on factors ordered [positions..., rest...]; undo that ordering.
-    current = positions + rest
-    inverse = [current.index(k) for k in range(n)]
-    reordered_dims = [dims[k] for k in current]
-    return permute_subsystems_dims(big, reordered_dims, inverse)
+    keep = [k for k in range(n) if k not in traced]
+    sigma = partial_trace_dims(m, dims, keep)
+    d = 1
+    for k in traced:
+        d *= dims[k]
+    # sigma / d on the kept axes, times a delta on each traced (row, column) pair
+    target = (sigma / d).reshape([1 if k in traced else dims[k] for k in range(n)] * 2)
+    for k in traced:
+        delta = [1] * (2 * n)
+        delta[k] = delta[n + k] = dims[k]
+        target = target * np.eye(dims[k]).reshape(delta)
+    return frobenius(m - target.reshape(m.shape)), sigma
 
 
 def apply_gate_to_tensor(
@@ -251,47 +238,14 @@ def apply_gate_to_tensor(
 # Spectral routines and predicates
 # ----------------------------------------------------------------------------
 
-def eig_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and sorted
-    in descending order; column ``k`` of the eigenvector matrix matches
-    eigenvalue ``k``. Raises if ``m`` is not Hermitian within ``tol``.
-    """
-    m = _as_square(m)
-    if not is_hermitian(m, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(m)
-    order = np.argsort(vals)[::-1]
-    return vals[order].real, vecs[:, order]
-
-
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    m = _as_square(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    m = _as_square(m)
-    if not is_hermitian(m, tol):
-        return False
-    vals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    return bool(vals.min() >= -tol)
-
-
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     m = _as_square(m)
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
 
 
-def is_density(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    m = _as_square(m)
-    return is_psd(m, tol) and abs(np.trace(m) - 1.0) <= tol
-
-
 def min_eig(m: np.ndarray) -> float:
     m = _as_square(m)
-    return float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+    return float(np.linalg.eigvalsh(hermitize(m)).min())
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -301,7 +255,7 @@ def frobenius(m: np.ndarray) -> float:
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """0.5 * trace norm of (a - b) for Hermitian a, b."""
     diff = _as_square(np.asarray(a) - np.asarray(b))
-    vals = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
+    vals = np.linalg.eigvalsh(hermitize(diff))
     return float(np.sum(np.abs(vals)) / 2)
 
 

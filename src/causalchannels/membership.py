@@ -360,17 +360,6 @@ def words_for_scenario(n: int, m: int, d: int) -> list[Word]:
     return words
 
 
-def words_orthogonal(u: Word, v: Word) -> bool:
-    """Words clash when a shared party has equal input but different outcome."""
-    by_party = {p: (a, x) for p, a, x in u}
-    for p, a, x in v:
-        if p in by_party:
-            a2, x2 = by_party[p]
-            if x == x2 and a != a2:
-                return True
-    return False
-
-
 @dataclass
 class MomentSkeleton:
     """Word list plus the compiled affine structure of the feasibility SDP.

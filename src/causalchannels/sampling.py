@@ -6,12 +6,11 @@ explicit ``numpy.random.Generator`` so runs are reproducible.
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 from .channels import Channel, CircuitChannel, CircuitGate, CircuitParty, compile_circuit
-from .linalg import SystemLayout, Subsystem, kron_all, partial_trace_dims, projector
+from .constructions import quantum_assemblage, quantum_teleportage
+from .linalg import SystemLayout, Subsystem, kron_all, projector
 from .scenarios import Assemblage, Teleportage
 
 
@@ -65,24 +64,12 @@ def random_quantum_assemblage(
     Quantum by construction, hence non-signalling; the untrusted parties each
     measure a ``d``-dimensional share.
     """
-    dims = [d] * n_untrusted + [d_b]
-    psi = random_pure_state(rng, int(np.prod(dims)))
-    rho = projector(psi)
+    rho = projector(random_pure_state(rng, d**n_untrusted * d_b))
     meas = [
         [random_projective_measurement(rng, d, d) for _ in range(m)]
         for _ in range(n_untrusted)
     ]
-    elements = np.zeros((d,) * n_untrusted + (m,) * n_untrusted + (d_b, d_b), dtype=complex)
-    for x_vec in product(range(m), repeat=n_untrusted):
-        for a_vec in product(range(d), repeat=n_untrusted):
-            effect = kron_all(
-                [meas[k][x_vec[k]][a_vec[k]] for k in range(n_untrusted)]
-                + [np.eye(d_b)]
-            )
-            elements[a_vec + x_vec] = partial_trace_dims(
-                effect @ rho, dims, keep=[n_untrusted]
-            )
-    return Assemblage(elements)
+    return quantum_assemblage(rho, meas)
 
 
 def random_nonsignalling_teleportage(
@@ -96,18 +83,7 @@ def random_nonsignalling_teleportage(
     d_r = d_b
     rho_rb = projector(random_pure_state(rng, d_r * d_b))
     povm = random_povm(rng, d_k * d_r, d)
-    blocks = np.zeros((d, d_k * d_b, d_k * d_b), dtype=complex)
-    for s in range(d_k):
-        for t in range(d_k):
-            unit = np.zeros((d_k, d_k), dtype=complex)
-            unit[s, t] = 1.0
-            full = np.kron(unit, rho_rb)  # factors (K, R, B)
-            for a in range(d):
-                out = partial_trace_dims(
-                    np.kron(povm[a], np.eye(d_b)) @ full, [d_k, d_r, d_b], keep=[2]
-                )
-                blocks[a].reshape(d_k, d_b, d_k, d_b)[s, :, t, :] = out
-    return Teleportage(blocks, (d_k,), d_b)
+    return quantum_teleportage(rho_rb, povm, d_k)
 
 
 def random_local_circuit(

@@ -21,12 +21,12 @@ from .channels import Channel
 from .linalg import (
     DEFAULT_TOL,
     basis_state,
-    embed_operator,
     frobenius,
     hermitize,
     kron_all,
     min_eig,
     partial_trace_dims,
+    product_residual,
     projector,
 )
 
@@ -513,14 +513,10 @@ def _marginal_instrument_residual(blocks: np.ndarray, factors: list[int]) -> flo
     n, d = blocks.ndim - 2, blocks.shape[0]
     worst = 0.0
     for keep in _proper_subsets(n):
-        drop = tuple(k for k in range(n) if k not in keep)
-        d_drop = int(np.prod([factors[k] for k in drop]))
-        kept = list(keep) + list(range(n, len(factors)))
-        marg = blocks.sum(axis=drop)
+        drop = [k for k in range(n) if k not in keep]
+        marg = blocks.sum(axis=tuple(drop))
         for a_keep in product(range(d), repeat=len(keep)):
-            block = marg[a_keep]
-            candidate = partial_trace_dims(block, factors, kept) / d_drop
-            worst = max(worst, frobenius(block - embed_operator(candidate, factors, kept)))
+            worst = max(worst, product_residual(marg[a_keep], factors, drop)[0])
     return worst
 
 
@@ -561,10 +557,8 @@ def is_nonsignalling_teleportage(
 ) -> tuple[bool, float]:
     """Marginal instruments well-defined and the total channel constant."""
     # grand sum: constant channel onto a fixed rho_B
-    total = t.total_choi()
-    rho_b = partial_trace_dims(total, [t.dim_in, t.trusted_dim], keep=[1]) / t.dim_in
     worst = max(
-        frobenius(total - np.kron(np.eye(t.dim_in), rho_b)),
+        product_residual(t.total_choi(), [t.dim_in, t.trusted_dim], [0])[0],
         _marginal_instrument_residual(t.blocks, list(t.input_dims) + [t.trusted_dim]),
     )
     return worst < tol, worst

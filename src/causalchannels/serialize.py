@@ -7,7 +7,8 @@ maps each kind to its exact type, payload writer and reader (reports, kind
 and no JSON object may repeat a key.  Canonical serialization emits table
 keys in ``(x_vec, a_vec)`` lexicographic order (indices zero-padded), so
 repeated serializations are byte-identical, and parsing accepts a table only
-if it holds exactly those keys.  The text is exactly what
+if it holds exactly those keys (generated lazily, so a declared size never
+costs more than the document).  The text is exactly what
 ``json.dumps(doc, indent=2)`` writes; payload builders keep matrices as
 complex arrays and :func:`canonical_json` formats each one in bulk.  Decoding
 converts a matrix with one ``np.array`` call and walks its entries only to
@@ -195,48 +196,69 @@ def _decode_vector(value, path: str) -> np.ndarray:
     return np.array([_decode_complex(v, f"{path}[{k}]") for k, v in enumerate(value)])
 
 
-def _table_keys(n: int, d: int, m: int | None = None) -> dict[str, tuple[int, ...]]:
-    """The canonical ``key -> array index`` map of an ``n``-party table.
+def _table_key(a_vec: tuple[int, ...], x_vec: tuple[int, ...] | None) -> str:
+    def code(vec: tuple[int, ...]) -> str:
+        return ",".join(f"{v:03d}" for v in vec)
+
+    return "a=" + code(a_vec) if x_vec is None else f"x={code(x_vec)}|a={code(a_vec)}"
+
+
+def _table_keys(n: int, d: int, m: int | None = None):
+    """The canonical ``(key, array index)`` pairs of an ``n``-party table, in
+    order, generated lazily.
 
     Keys run ``"x=..|a=.."`` over ``(x_vec, a_vec)`` lexicographically, or
     ``"a=.."`` over ``a_vec`` without inputs (``m`` is ``None``), indices
     zero-padded to three digits; the index is ``a_vec + x_vec``, the axis
     order of the stored arrays.
     """
-    def code(vec: tuple[int, ...]) -> str:
-        return ",".join(f"{v:03d}" for v in vec)
-
-    outcomes = list(product(range(d), repeat=n))
-    if m is None:
-        return {"a=" + code(a_vec): a_vec for a_vec in outcomes}
-    return {
-        f"x={code(x_vec)}|a={code(a_vec)}": a_vec + x_vec
-        for x_vec in product(range(m), repeat=n)
-        for a_vec in outcomes
-    }
+    for x_vec in [None] if m is None else product(range(m), repeat=n):
+        for a_vec in product(range(d), repeat=n):
+            yield _table_key(a_vec, x_vec), a_vec + (x_vec or ())
 
 
-def _read_table(payload, name: str, path: str, keys: dict, shape: tuple, block: int = 0):
-    """The array of index shape ``shape`` held by the table ``payload[name]``.
+def _is_table_key(key: str, n: int, d: int, m: int | None = None) -> bool:
+    """Whether ``key`` is one of ``_table_keys(n, d, m)``: it is read back
+    and must be in range and re-encode to itself."""
+    try:
+        vecs = [tuple(map(int, f.split("=", 1)[1].split(","))) for f in key.split("|")]
+    except (IndexError, ValueError):
+        return False
+    bounds = [d] if m is None else [m, d]
+    return (
+        [len(vec) for vec in vecs] == [n] * len(bounds)
+        and all(0 <= v < bound for vec, bound in zip(vecs, bounds) for v in vec)
+        and _table_key(vecs[-1], None if m is None else vecs[0]) == key
+    )
 
-    The table must hold exactly the canonical ``keys``.  Each value is
-    written at its key's index: a probability, or a ``block`` x ``block``
-    matrix when ``block`` is given.
+
+def _read_table(payload, name: str, path: str, n: int, d: int, m: int | None, block: int = 0):
+    """The array held by the table ``payload[name]`` of an ``n``-party table.
+
+    The table must hold exactly the canonical keys of ``_table_keys(n, d, m)``.
+    Each value is written at its key's index: a probability, or a ``block`` x
+    ``block`` matrix when ``block`` is given.  Canonical keys are generated
+    only while the table holds them and the array is allocated last, so the
+    work grows with the document, not with the table size it declares.
     """
     table = _field(payload, name, dict, path)
-    if table.keys() != keys.keys():
-        unexpected = [key for key in table if key not in keys]
-        if unexpected:
-            raise DocumentError(f"{path}.{name}", f"unexpected key {unexpected[0]!r}")
-        missing = next(key for key in keys if key not in table)
+    index, missing = {}, None
+    for key, i in _table_keys(n, d, m):
+        if key not in table:
+            missing = key
+            break
+        index[key] = i
+    if missing is not None or len(index) < len(table):
+        unexpected = next((key for key in table if not _is_table_key(key, n, d, m)), None)
+        if unexpected is not None:
+            raise DocumentError(f"{path}.{name}", f"unexpected key {unexpected!r}")
         raise DocumentError(f"{path}.{name}", f"missing key {missing!r}")
-    if block:
-        out = np.zeros(shape + (block, block), dtype=complex)
-        decode = partial(_decode_matrix, shape=(block, block))
-    else:
-        out, decode = np.zeros(shape), _probability
-    for key, value in table.items():
-        out[keys[key]] = decode(value, f"{path}.{name}[{key!r}]")
+    entry = (block, block) if block else ()
+    decode = partial(_decode_matrix, shape=entry) if block else _probability
+    values = [decode(value, f"{path}.{name}[{key!r}]") for key, value in table.items()]
+    out = np.zeros((d,) * n + (() if m is None else (m,) * n) + entry, complex if block else float)
+    for key, value in zip(table, values):
+        out[index[key]] = value
     return out
 
 
@@ -370,7 +392,7 @@ def _circuit_from_payload(payload: dict, path: str) -> CircuitChannel:
 
 def _correlation_payload(c: Correlation) -> dict:
     n, d, m = c.n_parties, c.n_outputs, c.n_inputs
-    entries = {key: float(c.table[i]) for key, i in _table_keys(n, d, m).items()}
+    entries = {key: float(c.table[i]) for key, i in _table_keys(n, d, m)}
     return {"n_parties": n, "n_inputs": m, "n_outputs": d, "entries": entries}
 
 
@@ -378,7 +400,7 @@ def _correlation_from_payload(payload: dict, path: str) -> Correlation:
     n = _count(payload, "n_parties", path)
     m = _count(payload, "n_inputs", path)
     d = _count(payload, "n_outputs", path)
-    table = _read_table(payload, "entries", path, _table_keys(n, d, m), (d,) * n + (m,) * n)
+    table = _read_table(payload, "entries", path, n, d, m)
     return _checked(f"{path}.entries", DOCUMENT_TOL, lambda: Correlation(table))
 
 
@@ -389,7 +411,7 @@ def _assemblage_payload(a: Assemblage) -> dict:
         "n_inputs": m,
         "n_outputs": d,
         "trusted_dim": a.trusted_dim,
-        "elements": {key: _matrix(a.elements[i]) for key, i in _table_keys(n, d, m).items()},
+        "elements": {key: _matrix(a.elements[i]) for key, i in _table_keys(n, d, m)},
     }
 
 
@@ -398,8 +420,7 @@ def _assemblage_from_payload(payload: dict, path: str) -> Assemblage:
     m = _count(payload, "n_inputs", path)
     d = _count(payload, "n_outputs", path)
     d_b = _count(payload, "trusted_dim", path)
-    shape = (d,) * n + (m,) * n
-    elements = _read_table(payload, "elements", path, _table_keys(n, d, m), shape, d_b)
+    elements = _read_table(payload, "elements", path, n, d, m, d_b)
     return _checked(f"{path}.elements", DOCUMENT_TOL, lambda: Assemblage(elements))
 
 
@@ -408,16 +429,14 @@ def _measurement_payload(dm: DistributedMeasurement) -> dict:
     return {
         "input_dims": list(dm.input_dims),
         "n_outputs": d,
-        "elements": {key: _matrix(dm.elements[i]) for key, i in _table_keys(n, d).items()},
+        "elements": {key: _matrix(dm.elements[i]) for key, i in _table_keys(n, d)},
     }
 
 
 def _measurement_from_payload(payload: dict, path: str) -> DistributedMeasurement:
     dims = _input_dims(payload, path)
     d = _count(payload, "n_outputs", path)
-    n = len(dims)
-    d_tot = int(np.prod(dims))
-    elements = _read_table(payload, "elements", path, _table_keys(n, d), (d,) * n, d_tot)
+    elements = _read_table(payload, "elements", path, len(dims), d, None, math.prod(dims))
     return _checked(
         f"{path}.elements", DOCUMENT_TOL, lambda: DistributedMeasurement(elements, dims)
     )
@@ -429,7 +448,7 @@ def _teleportage_payload(t: Teleportage) -> dict:
         "input_dims": list(t.input_dims),
         "n_outputs": d,
         "trusted_dim": t.trusted_dim,
-        "blocks": {key: _matrix(t.blocks[i]) for key, i in _table_keys(n, d).items()},
+        "blocks": {key: _matrix(t.blocks[i]) for key, i in _table_keys(n, d)},
     }
 
 
@@ -437,9 +456,7 @@ def _teleportage_from_payload(payload: dict, path: str) -> Teleportage:
     dims = _input_dims(payload, path)
     d = _count(payload, "n_outputs", path)
     d_b = _count(payload, "trusted_dim", path)
-    n = len(dims)
-    d_tot = int(np.prod(dims)) * d_b
-    blocks = _read_table(payload, "blocks", path, _table_keys(n, d), (d,) * n, d_tot)
+    blocks = _read_table(payload, "blocks", path, len(dims), d, None, math.prod(dims) * d_b)
     return _checked(f"{path}.blocks", DOCUMENT_TOL, lambda: Teleportage(blocks, dims, d_b))
 
 

@@ -6,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalchannels import (
+    Correlation,
     Party,
+    canonical_channel_from_assemblage,
+    canonical_channel_from_correlations,
     is_causal,
+    is_nonsignalling_assemblage,
+    is_nonsignalling_correlation,
     is_semicausal,
     signalling_witness,
 )
@@ -15,6 +20,7 @@ from causalchannels.channels import channel_from_unitary, identity_channel
 from causalchannels.sampling import (
     random_local_circuit,
     random_localizable_channel,
+    random_quantum_assemblage,
     random_unitary,
 )
 from causalchannels import compile_circuit
@@ -298,3 +304,44 @@ class TestNonUniformDimensions:
         assert ok_ba, res_ba  # B cannot signal A
         assert signalling_witness(ch, "A", ("B",)) > 0.1
         assert signalling_witness(ch, "B", ("A",)) < 1e-9
+
+
+def _local_mixture(rng, n: int, m: int = 2, d: int = 2, k: int = 3) -> Correlation:
+    """Mixture of ``k`` deterministic strategies: local, hence non-signalling."""
+    table = np.zeros((d,) * n + (m,) * n)
+    for w in rng.dirichlet(np.ones(k)):
+        answers = rng.integers(0, d, size=(n, m))  # answers[p, x]
+        for x_vec in np.ndindex(*(m,) * n):
+            a_vec = tuple(int(answers[p, x]) for p, x in enumerate(x_vec))
+            table[a_vec + x_vec] += w
+    return Correlation(table)
+
+
+def _random_table(rng, n: int, m: int = 2, d: int = 2) -> Correlation:
+    """A normalized table with independent outcome distributions per input
+    tuple: signalling with probability one."""
+    rows = rng.dirichlet(np.ones(d**n), size=m**n)  # rows[x_flat, a_flat]
+    return Correlation(rows.T.reshape((d,) * n + (m,) * n))
+
+
+class TestCanonicalChannelLink:
+    """The paper's link: a table is non-signalling exactly when its canonical
+    measure-and-prepare channel is causal, and the same for assemblages."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("make", [_local_mixture, _random_table], ids=["local", "random"])
+    def test_causal_iff_nonsignalling(self, n, make):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(15):
+            c = make(rng, n)
+            ns = is_nonsignalling_correlation(c)[0]
+            assert ns == (make is _local_mixture)
+            assert is_causal(canonical_channel_from_correlations(c)).causal == ns
+
+    @pytest.mark.parametrize("n_untrusted", [1, 2])
+    def test_nonsignalling_assemblage_gives_causal_channel(self, n_untrusted):
+        rng = np.random.default_rng(7 + n_untrusted)
+        for _ in range(4):
+            a = random_quantum_assemblage(rng, m=2, d=2, d_b=2, n_untrusted=n_untrusted)
+            assert is_nonsignalling_assemblage(a)[0]
+            assert is_causal(canonical_channel_from_assemblage(a)).causal

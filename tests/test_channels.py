@@ -21,11 +21,11 @@ from causalchannels import (
     compose_serial,
     identity_channel,
     kraus_from_choi,
-    simulate_circuit,
 )
 from causalchannels.channels import channel_from_unitary
-from causalchannels.constructions import HADAMARD, pr_box_channel, pr_box_kraus_channel
-from causalchannels.linalg import basis_state, max_entangled, projector
+from causalchannels.constructions import HADAMARD, pr_box_channel
+from causalchannels.linalg import basis_state, projector
+from oracles import max_entangled, pr_box_kraus_channel, simulate_circuit
 from conftest import pr_table
 
 

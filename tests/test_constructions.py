@@ -30,8 +30,8 @@ from causalchannels import (
 from causalchannels.constructions import PAULI_X, PAULI_Z
 from causalchannels.linalg import (
     basis_state,
+    frobenius,
     kron_all,
-    max_entangled,
     partial_trace_dims,
     partial_trace_pure,
     projector,
@@ -40,9 +40,12 @@ from causalchannels.sampling import (
     random_density,
     random_nonsignalling_teleportage,
     random_povm,
+    random_projective_measurement,
+    random_pure_state,
     random_quantum_assemblage,
 )
 from conftest import pr_table
+from oracles import max_entangled
 
 RT2 = np.sqrt(2.0)
 
@@ -465,3 +468,105 @@ class TestGhjwTeleportage:
 
         with pytest.raises(ValueError, match="signalling"):
             ghjw_realize_teleportage(Teleportage(blocks, (2,), 2))
+
+
+# -- the quantum-model forward maps against the loops they replaced ----------------
+
+def _reference_quantum_assemblage(rng, m, d, d_b, n_untrusted=1) -> Assemblage:
+    dims = [d] * n_untrusted + [d_b]
+    rho = projector(random_pure_state(rng, int(np.prod(dims))))
+    meas = [
+        [random_projective_measurement(rng, d, d) for _ in range(m)]
+        for _ in range(n_untrusted)
+    ]
+    elements = np.zeros((d,) * n_untrusted + (m,) * n_untrusted + (d_b, d_b), dtype=complex)
+    for x_vec in product(range(m), repeat=n_untrusted):
+        for a_vec in product(range(d), repeat=n_untrusted):
+            effect = kron_all(
+                [meas[k][x_vec[k]][a_vec[k]] for k in range(n_untrusted)] + [np.eye(d_b)]
+            )
+            elements[a_vec + x_vec] = partial_trace_dims(effect @ rho, dims, keep=[n_untrusted])
+    return Assemblage(elements)
+
+
+def _reference_teleportage_blocks(rho_rb, povm, d_k, d_r, d_b) -> np.ndarray:
+    d = len(povm)
+    blocks = np.zeros((d, d_k * d_b, d_k * d_b), dtype=complex)
+    for s in range(d_k):
+        for t in range(d_k):
+            unit = np.zeros((d_k, d_k), dtype=complex)
+            unit[s, t] = 1.0
+            full = np.kron(unit, rho_rb)  # factors (K, R, B)
+            for a in range(d):
+                out = partial_trace_dims(
+                    np.kron(povm[a], np.eye(d_b)) @ full, [d_k, d_r, d_b], keep=[2]
+                )
+                blocks[a].reshape(d_k, d_b, d_k, d_b)[s, :, t, :] = out
+    return blocks
+
+
+def _reference_nonsignalling_teleportage(rng, d_k, d, d_b) -> np.ndarray:
+    rho_rb = projector(random_pure_state(rng, d_b * d_b))
+    povm = random_povm(rng, d_k * d_b, d)
+    return _reference_teleportage_blocks(rho_rb, povm, d_k, d_b, d_b)
+
+
+def _reference_ghjw_assemblage_residual(a, state, povms) -> float:
+    m, d, d_b, r = a.n_inputs, a.n_outputs, a.trusted_dim, povms.shape[-1]
+    worst = 0.0
+    for x in range(m):
+        worst = max(worst, frobenius(povms[x].sum(axis=0) - np.eye(r)))
+        for out in range(d):
+            recon = partial_trace_dims(
+                kron_all([povms[x, out], np.eye(d_b)]) @ projector(state), [r, d_b], keep=[1]
+            )
+            worst = max(worst, frobenius(recon - a.element((out,), (x,))))
+    return worst
+
+
+def _reference_ghjw_teleportage_residual(t, state, povm) -> float:
+    d_k, d_b = t.dim_in, t.trusted_dim
+    r = povm.shape[-1] // d_k
+    worst = frobenius(povm.sum(axis=0) - np.eye(d_k * r))
+    model = _reference_teleportage_blocks(projector(state), povm, d_k, r, d_b)
+    for a_idx in range(t.n_outputs):
+        for s in range(d_k):
+            for u in range(d_k):
+                got = model[a_idx].reshape(d_k, d_b, d_k, d_b)[s, :, u, :]
+                expected = t.blocks[a_idx].reshape(d_k, d_b, d_k, d_b)[s, :, u, :]
+                worst = max(worst, frobenius(got - expected))
+    return worst
+
+
+class TestForwardMapsBitwise:
+    """The sampled fixtures and GHJW residuals every other test relies on are
+    bitwise those of the per-entry loops the forward maps replaced."""
+
+    @pytest.mark.parametrize(
+        "m, d, d_b, n_untrusted", [(2, 2, 2, 1), (3, 2, 3, 1), (2, 3, 2, 1), (2, 2, 2, 2)]
+    )
+    def test_random_quantum_assemblage(self, m, d, d_b, n_untrusted):
+        for seed in range(3):
+            got = random_quantum_assemblage(np.random.default_rng(seed), m, d, d_b, n_untrusted)
+            ref = _reference_quantum_assemblage(
+                np.random.default_rng(seed), m, d, d_b, n_untrusted
+            )
+            assert np.array_equal(got.elements, ref.elements)
+
+    @pytest.mark.parametrize("d_k, d, d_b", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)])
+    def test_random_nonsignalling_teleportage(self, d_k, d, d_b):
+        for seed in range(3):
+            got = random_nonsignalling_teleportage(np.random.default_rng(seed), d_k, d, d_b)
+            ref = _reference_nonsignalling_teleportage(np.random.default_rng(seed), d_k, d, d_b)
+            assert np.array_equal(got.blocks, ref)
+            assert (got.input_dims, got.trusted_dim) == ((d_k,), d_b)
+
+    def test_ghjw_residuals(self):
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            a = random_quantum_assemblage(rng, m=3, d=2, d_b=2)
+            state, povms, res = ghjw_realize_assemblage(a)
+            assert res == _reference_ghjw_assemblage_residual(a, state, povms)
+            t = random_nonsignalling_teleportage(rng, d_k=2, d=3, d_b=2)
+            state, povm, res = ghjw_realize_teleportage(t)
+            assert res == _reference_ghjw_teleportage_residual(t, state, povm)

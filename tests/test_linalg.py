@@ -1,21 +1,20 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from causalchannels.linalg import (
     SystemLayout,
     Subsystem,
-    eig_hermitian,
-    is_density,
-    is_hermitian,
-    is_psd,
+    frobenius,
     is_unitary,
-    kron,
-    partial_trace,
     partial_trace_dims,
     permute_subsystems_dims,
+    product_residual,
 )
+from oracles import eig_hermitian, is_density, is_hermitian, is_psd, kron, partial_trace
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -174,3 +173,55 @@ class TestSystemLayout:
         assert layout.dims == (2, 3)
         assert layout.dim == 6
         assert layout.index("b") == 1
+
+
+def _embed_operator(op, dims, positions):
+    """Reference embedding: ``op`` on the factors ``positions`` tensored with
+    the identity elsewhere, by a Kronecker product and a factor permutation."""
+    n = len(dims)
+    positions = list(positions)
+    rest = [k for k in range(n) if k not in positions]
+    d_rest = 1
+    for k in rest:
+        d_rest *= dims[k]
+    big = np.kron(np.asarray(op, dtype=complex), np.eye(d_rest, dtype=complex))
+    current = positions + rest
+    inverse = [current.index(k) for k in range(n)]
+    return permute_subsystems_dims(big, [dims[k] for k in current], inverse)
+
+
+def _reference_product_residual(m, dims, traced):
+    kept = [k for k in range(len(dims)) if k not in traced]
+    sigma = partial_trace_dims(m, dims, kept)
+    d = 1
+    for k in traced:
+        d *= dims[k]
+    return frobenius(m - _embed_operator(sigma / d, dims, kept)), sigma
+
+
+class TestProductResidual:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bitwise_equal_to_embedded_reference(self, rng, n):
+        for _ in range(4):
+            dims = [int(v) for v in rng.integers(1, 4, size=n)]
+            total = int(np.prod(dims))
+            m = rng.normal(size=(total, total)) + 1j * rng.normal(size=(total, total))
+            for r in range(n + 1):
+                for traced in combinations(range(n), r):
+                    kept = [k for k in range(n) if k not in traced]
+                    d_kept = int(np.prod([dims[k] for k in kept]))
+                    # near a product, where the residual sees every rounding of the target
+                    near = _embed_operator(random_density(rng, d_kept), dims, kept) / 3
+                    for op in (m, near + 1e-12 * m):
+                        got, sigma = product_residual(op, dims, list(traced))
+                        ref, ref_sigma = _reference_product_residual(op, dims, list(traced))
+                        assert got == ref, (dims, traced)
+                        assert np.array_equal(sigma, ref_sigma), (dims, traced)
+
+    def test_product_form_has_zero_residual(self, rng):
+        a, b = random_density(rng, 2), random_density(rng, 3)
+        res, sigma = product_residual(np.kron(a, np.eye(3) / 3), [2, 3], [1])
+        assert res < 1e-15
+        assert np.max(np.abs(sigma - a)) < 1e-15
+        res, _ = product_residual(np.kron(a, b), [2, 3], [1])
+        assert abs(res - frobenius(np.kron(a, b - np.eye(3) / 3))) < 1e-14

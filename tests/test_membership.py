@@ -24,7 +24,7 @@ from causalchannels import (
     tsirelson_witness,
 )
 from causalchannels.constructions import PAULI_X, PAULI_Z, ProjectiveRealization
-from causalchannels.linalg import max_entangled, partial_trace_dims, projector
+from causalchannels.linalg import partial_trace_dims, projector
 from causalchannels.sampling import random_density
 from causalchannels import membership
 from causalchannels.membership import (
@@ -39,9 +39,9 @@ from causalchannels.membership import (
     simplex_phase1,
     strategy_table,
     words_for_scenario,
-    words_orthogonal,
 )
 from conftest import pr_table
+from oracles import max_entangled, words_orthogonal
 
 RT2 = np.sqrt(2.0)
 HALF = np.eye(2) / 2

@@ -43,7 +43,6 @@ from causalchannels.linalg import (
     Subsystem,
     basis_state,
     kron_all,
-    max_entangled,
     partial_trace_dims,
     projector,
 )
@@ -56,6 +55,7 @@ from causalchannels.sampling import (
     random_unitary,
 )
 from conftest import pr_table
+from oracles import max_entangled
 
 RT2 = np.sqrt(2.0)
 # analytic singlet-channel table entries for the pinned gate convention

@@ -14,7 +14,7 @@ from causalchannels import (
     serialize,
 )
 from causalchannels.channels import Channel, identity_channel
-from causalchannels.serialize import canonical_json
+from causalchannels.serialize import _is_table_key, _table_keys, canonical_json
 from causalchannels.constructions import singlet_tsirelson_channel
 from causalchannels.scenarios import (
     distributed_measurement_from_channel,
@@ -441,6 +441,50 @@ ERROR_CASES = {
 }
 
 
+def _chain(*mutations):
+    """Mutation applying each of ``mutations`` in turn."""
+
+    def mutate(doc):
+        for step in mutations:
+            step(doc)
+
+    return mutate
+
+
+_ZEROS_40 = ",".join(["000"] * 40)
+
+# Documents whose declared sizes dwarf the text: each is rejected after work
+# bounded by the document, before any array of the declared size exists.
+ERROR_CASES.update({
+    "correlation-40-parties": (
+        _correlation_doc, _chain(_set("n_parties", 40), _set("entries", {})), "$.payload.entries",
+        f"missing key {f'x={_ZEROS_40}|a={_ZEROS_40}'!r}",
+    ),
+    "assemblage-40-parties": (
+        _assemblage_doc, _set("n_untrusted", 40), "$.payload.elements",
+        f"unexpected key {_KEY!r}",
+    ),
+    "measurement-40-input-dims": (
+        _measurement_doc, _chain(_set("input_dims", [2] * 40), _set("elements", {})),
+        "$.payload.elements", f"missing key {f'a={_ZEROS_40}'!r}",
+    ),
+    "teleportage-40-input-dims": (
+        _teleportage_doc, _set("input_dims", [2] * 40), "$.payload.blocks",
+        "unexpected key 'a=000,000'",
+    ),
+    "measurement-huge-input-dims": (
+        _measurement_doc,
+        _chain(
+            _set("input_dims", [3000, 3000]),
+            _set("n_outputs", 1),
+            _set("elements", {"a=000,000": [[[1.0, 0.0]]]}),
+        ),
+        "$.payload.elements['a=000,000']",
+        "matrix shape (1, 1) != expected (9000000, 9000000)",
+    ),
+})
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize("case", sorted(ERROR_CASES))
     def test_path_and_message(self, case):
@@ -613,3 +657,29 @@ class TestRoundTripProperty:
     def test_serialize_parse_serialize(self, kind, seed):
         first = serialize(_sampled_object(kind, seed))
         assert serialize(parse(first)) == first
+
+
+class TestTableKeyPredicate:
+    """The key check used on malformed tables accepts exactly the canonical
+    keys: every canonical key, and no edit of one that is not itself canonical."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 2),
+        st.sampled_from([1, 2, 3, 11]),
+        st.sampled_from([None, 1, 2, 3]),
+        st.data(),
+    )
+    def test_matches_enumeration(self, n, d, m, data):
+        canonical = dict(_table_keys(n, d, m))
+        assert all(_is_table_key(key, n, d, m) for key in canonical)
+        key = list(data.draw(st.sampled_from(sorted(canonical))))
+        for _ in range(data.draw(st.integers(1, 3))):
+            pos = data.draw(st.integers(0, len(key)))
+            char = data.draw(st.sampled_from("0123456789,|=ax -+_\u0661"))
+            if data.draw(st.booleans()) or pos == len(key):
+                key.insert(pos, char)
+            else:
+                key[pos] = char
+        edited = "".join(key)
+        assert _is_table_key(edited, n, d, m) == (edited in canonical)
