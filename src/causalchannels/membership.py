@@ -1,7 +1,11 @@
 """Classify correlations and assemblages by feasibility.
 
 Local-hidden-variable membership is a linear program over deterministic
-strategies, solved by a dense phase-1 simplex with Bland's rule.
+strategies, solved by a dense phase-1 simplex with Dantzig pricing on a
+perturbed right-hand side.  Both of its verdicts are certified on the
+unperturbed problem: a feasible one by weights that rebuild the table, an
+infeasible one by a Farkas dual, reported as a Bell functional with its
+local bound.
 Local-hidden-state and almost-quantum membership are semidefinite
 feasibility problems, solved by alternating projections between the PSD
 cone and an affine constraint set.  The iterate is one ``(k, d, d)`` stack
@@ -26,7 +30,7 @@ clash-free pairs, pinned to a marginal of the target object), zero (a
 clash with equal inputs: orthogonal words) or free (its blocks are set
 equal); the affine projection averages each free class.
 
-Alternating projections cannot *prove* infeasibility: the
+Alternating projections, unlike the simplex, cannot *prove* infeasibility: the
 ``numerically-infeasible`` verdict is a stalled-residual heuristic and is
 always reported together with the final residual.  Negative claims in the
 test suite are therefore backed by analytic witnesses (CHSH) rather than
@@ -112,15 +116,24 @@ def strategy_table(n: int, m: int, d: int) -> np.ndarray:
 # Dense phase-1 simplex
 # ----------------------------------------------------------------------------
 
+LP_TOL = 1e-9  # pricing, ratio-test and verdict tolerance of the simplex
+PERTURBATION = 1e-7  # tableau rhs row i is raised by PERTURBATION * (1 + i / rows)
+ROW_BLOCK = 32  # rows per pivot-update slice: no tableau-sized temporary per pivot
+
+
 @dataclass(frozen=True)
 class SimplexResult:
-    """Phase-1 outcome; unpacks as ``(feasible, x, artificial_optimum)``."""
+    """Phase-1 outcome; unpacks as ``(feasible, x, artificial_optimum)``.
+    ``farkas`` (a ``y`` with ``A^T y <= 0 < b . y``) is set only on a certified
+    infeasible run; a run that certifies neither side says why in ``detail``."""
 
     feasible: bool
     x: np.ndarray
     optimum: float
     pivots: int
     capped: bool  # stopped at ``max_pivots`` with an improving column left
+    farkas: np.ndarray | None = None
+    detail: str = ""
 
     def __iter__(self):
         return iter((self.feasible, self.x, self.optimum))
@@ -131,96 +144,111 @@ def simplex_phase1(
 ) -> SimplexResult:
     """Feasibility of ``A x = b, x >= 0`` via artificial variables.
 
-    Minimizes the sum of artificials with Bland's anti-cycling rule on a
-    dense tableau, for at most ``max_pivots`` pivots.  A run stopped by the
-    cap has not reached the optimum, so its artificial sum proves nothing.
+    Minimizes the sum of artificials on a dense tableau with Dantzig's rule
+    (the most negative reduced cost enters), for at most ``max_pivots``
+    pivots.  The raised right-hand side (``PERTURBATION``) splits the ties
+    of degenerate vertices, so the run cannot stall (Charnes, Econometrica
+    20, 1952).  At the optimum the artificial columns hold ``B^-1`` and the
+    verdict is read off the unperturbed problem, to ``LP_TOL``:
+
+    * feasible: ``x_B = B^-1 b`` is nonnegative with a zero artificial part,
+      and ``x`` (rounding below zero clipped) rebuilds ``b``;
+    * infeasible: the duals ``y`` (one minus the artificial reduced costs,
+      sign undone on flipped rows) satisfy ``A^T y <= 0 < b . y``, a Farkas
+      certificate returned as ``farkas``;
+    * otherwise, and at the pivot cap, neither: ``detail`` says why.
     """
     a_mat = np.asarray(a_mat, dtype=float)
-    b_vec = np.asarray(b_vec, dtype=float).copy()
+    b_vec = np.asarray(b_vec, dtype=float)
     n_rows, n_cols = a_mat.shape
-    flip = b_vec < 0
-    a_work = a_mat.copy()
-    a_work[flip] *= -1.0
-    b_vec[flip] *= -1.0
-
-    # tableau columns: [original vars | artificials | rhs]
-    tab = np.zeros((n_rows + 1, n_cols + n_rows + 1))
-    tab[:n_rows, :n_cols] = a_work
-    tab[:n_rows, n_cols : n_cols + n_rows] = np.eye(n_rows)
-    tab[:n_rows, -1] = b_vec
-    basis = list(range(n_cols, n_cols + n_rows))
-    # objective row: minimize sum of artificials -> reduced costs
-    tab[-1, :] = -tab[:n_rows, :].sum(axis=0)
-    tab[-1, n_cols : n_cols + n_rows] = 0.0
+    width = n_cols + n_rows
+    sign = np.where(b_vec < 0, -1.0, 1.0)
+    # tableau columns: [original vars | artificials | rhs]; last row: reduced costs
+    tab = np.zeros((n_rows + 1, width + 1))
+    body, costs = tab[:n_rows], tab[-1]
+    np.multiply(a_mat, sign[:, None], out=body[:, :n_cols])
+    body[np.arange(n_rows), np.arange(n_cols, width)] = 1.0
+    body[:, -1] = np.abs(b_vec) + PERTURBATION * (1.0 + np.arange(n_rows) / n_rows)
+    np.sum(body, axis=0, out=costs)
+    costs *= -1.0
+    costs[n_cols:width] = 0.0
+    basis = np.arange(n_cols, width)
+    update = np.empty((ROW_BLOCK, width + 1))
 
     pivots, capped = 0, False
     while True:
-        costs = tab[-1, : n_cols + n_rows]
-        entering = -1
-        for j in range(n_cols + n_rows):  # Bland: smallest index
-            if costs[j] < -1e-9:
-                entering = j
-                break
-        if entering < 0:
+        entering = int(np.argmin(costs[:width]))
+        if costs[entering] >= -LP_TOL:
             break
         if pivots == max_pivots:
             capped = True
             break
-        col = tab[:n_rows, entering]
-        best_ratio, leaving = None, -1
-        for i in range(n_rows):
-            if col[i] > 1e-9:
-                ratio = tab[i, -1] / col[i]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio - 1e-15
-                    or (abs(ratio - best_ratio) <= 1e-15 and basis[i] < basis[leaving])
-                ):
-                    best_ratio, leaving = ratio, i
-        if leaving < 0:
+        col = body[:, entering]
+        ratios = np.divide(body[:, -1], col, out=np.full(n_rows, np.inf), where=col > LP_TOL)
+        leaving = int(np.argmin(ratios))
+        if ratios[leaving] == np.inf:
             raise RuntimeError("phase-1 problem is unbounded; constraints are malformed")
-        pivot = tab[leaving, entering]
-        tab[leaving, :] /= pivot
-        for i in range(n_rows + 1):
-            if i != leaving and abs(tab[i, entering]) > 0:
-                tab[i, :] -= tab[i, entering] * tab[leaving, :]
+        row = tab[leaving]
+        row /= row[entering]
+        factors = tab[:, entering].copy()
+        factors[leaving] = 0.0
+        for lo in range(0, n_rows + 1, ROW_BLOCK):
+            part = update[: min(ROW_BLOCK, n_rows + 1 - lo)]
+            np.multiply(factors[lo : lo + ROW_BLOCK, None], row, out=part)
+            tab[lo : lo + ROW_BLOCK] -= part
         basis[leaving] = entering
         pivots += 1
-    optimum = -tab[-1, -1]
+
+    x_basic = body[:, n_cols:width] @ (sign * b_vec)  # B^-1 b, unperturbed
+    original = basis < n_cols
+    optimum = max(float(x_basic[~original].sum()), 0.0)
     x = np.zeros(n_cols)
-    for i, var in enumerate(basis):
-        if var < n_cols:
-            x[var] = tab[i, -1]
-    return SimplexResult(optimum <= 1e-9, x, float(max(optimum, 0.0)), pivots, capped)
+    x[basis[original]] = np.maximum(x_basic[original], 0.0)
+    if capped:
+        detail = f"pivot cap {max_pivots} reached with an improving column left"
+    elif optimum <= LP_TOL and x_basic.min() >= -LP_TOL:
+        return SimplexResult(True, x, optimum, pivots, False)
+    else:
+        y = sign * (1.0 - costs[n_cols:width])
+        gap, slack = float(b_vec @ y), float(np.max(a_mat.T @ y))
+        if gap > LP_TOL and slack <= LP_TOL:
+            return SimplexResult(False, x, optimum, pivots, False, y)
+        detail = (
+            f"optimal basis certifies neither side: artificial sum {optimum:.3e}, "
+            f"min B^-1 b {x_basic.min():.3e}, b.y {gap:.3e}, max A^T y {slack:.3e}"
+        )
+    return SimplexResult(False, x, optimum, pivots, capped, None, detail)
 
 
 def lhv_membership(c: Correlation) -> FeasibilityReport:
     """LP feasibility of ``p = sum_lam w_lam D_lam`` with a probability vector w.
 
-    ``iterations`` is the simplex pivot count.  A run stopped by the pivot
-    cap short of a feasible point is ``inconclusive``.
+    ``iterations`` is the simplex pivot count.  A feasible report carries
+    the ``weights``; an infeasible one the Farkas certificate as a Bell
+    functional ``bell`` (shaped like the table) and its ``local_bound``:
+    every deterministic strategy scores at most the bound, the data more.
+    A run that certifies neither side, or stops at the pivot cap, is
+    ``inconclusive``.
     """
     c.validate()
     n, m, d = c.n_parties, c.n_inputs, c.n_outputs
     table = strategy_table(n, m, d)
     n_strat = table.shape[0]
-    a_mat = table.reshape(n_strat, -1).T
-    b_vec = c.table.reshape(-1)
-    a_mat = np.vstack([a_mat, np.ones((1, n_strat))])
-    b_vec = np.concatenate([b_vec, [1.0]])
-    lp = simplex_phase1(a_mat, b_vec)
+    # LP rows: one per table cell, then sum_lam w_lam = 1
+    a_mat = np.ones((c.table.size + 1, n_strat))
+    a_mat[:-1] = table.reshape(n_strat, -1).T
+    del table  # a_mat holds it; freed before the tableau is allocated
+    lp = simplex_phase1(a_mat, np.append(c.table.reshape(-1), 1.0))
     if lp.feasible:
-        recon = np.tensordot(lp.x, table, axes=(0, 0))
-        residual = float(np.max(np.abs(recon - c.table)))
+        residual = float(np.max(np.abs(a_mat[:-1] @ lp.x - c.table.reshape(-1))))
         return FeasibilityReport(
             "feasible", residual, lp.pivots, {"weights": lp.x}, "phase-1 simplex"
         )
-    if lp.capped:
-        return FeasibilityReport(
-            "inconclusive", lp.optimum, lp.pivots, None, "simplex pivot cap reached"
-        )
+    if lp.farkas is None:
+        return FeasibilityReport("inconclusive", lp.optimum, lp.pivots, None, lp.detail)
+    bell = {"bell": lp.farkas[:-1].reshape(c.table.shape), "local_bound": float(-lp.farkas[-1])}
     return FeasibilityReport(
-        "numerically-infeasible", lp.optimum, lp.pivots, None, "phase-1 artificial optimum > 0"
+        "numerically-infeasible", lp.optimum, lp.pivots, bell, "phase-1 Farkas certificate"
     )
 
 

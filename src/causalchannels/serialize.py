@@ -487,6 +487,11 @@ def feasibility_report_payload(rep: FeasibilityReport) -> dict:
     }
     if rep.certificate and "weights" in rep.certificate:
         out["certificate"] = {"weights": np.asarray(rep.certificate["weights"], dtype=float)}
+    elif rep.certificate and "bell" in rep.certificate:
+        out["certificate"] = {
+            "bell": np.asarray(rep.certificate["bell"], dtype=float),
+            "local_bound": float(rep.certificate["local_bound"]),
+        }
     elif rep.certificate and "states" in rep.certificate:
         out["certificate"] = {
             "states": [_matrix(s) for s in rep.certificate["states"]]

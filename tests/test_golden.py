@@ -45,7 +45,7 @@ GOLDEN = {
     "pr-box.correlations": "191e4bf913f1e47385a741024a351147baaa7d47b495482c3a4d53bd28f57d5c",
     "pr-box.measurement": "1f3562ff537a8bac49e7044038586ec6ff0e53997a566d5e74d3100621db6322",
     "report.lhs-uniform": "eb61013f6ea8fc52a50967121a7bca2322cd67ac7a0b06693b83aa2d61c06849",
-    "report.lhv-pr-box": "c35f206aa3d7ea36fe1cff15eed0a4600ecc5f672e47de2dc59723323ff7c237",
+    "report.lhv-pr-box": "6286b340e42139f860ad174fb24a48c67758912819264250292bb5bd45b557e2",
     "report.lhv-uniform": "96e125c4053334b51eae3e55c22130a54f82f6290c870f8f4a1d0c8d3848d2cc",
     "singlet.choi": "05f6839f11f5cf0792aa36233bbd5459ff2bb695be9e4027e705739d47983550",
     "singlet.circuit": "c9326d72cd5a2162d62528babf171f45bf49047839df99970c4c423769c60381",
@@ -95,7 +95,7 @@ def documents(tmp_path_factory) -> dict[str, str]:
 
     # ``iterations`` of an lhv report is the simplex pivot count, pinned in
     # tests/test_membership.py; the golden bytes cover the rest of the report.
-    lhv = lhv_membership(parse(docs["pr-box.correlations"]))
+    lhv = lhv_membership(parse(docs["pr-box.correlations"]))  # bell certificate
     docs["report.lhv-pr-box"] = serialize(dataclasses.replace(lhv, iterations=0))
     lhv = lhv_membership(_uniform_assemblage().to_correlation())  # weights certificate
     docs["report.lhv-uniform"] = serialize(dataclasses.replace(lhv, iterations=0))
@@ -129,5 +129,6 @@ def test_golden_bytes(documents, name):
 
 def test_certificate_report_carries_matrices(documents):
     assert '"weights": [' in documents["report.lhv-uniform"]
+    assert '"bell": [' in documents["report.lhv-pr-box"]
     assert '"states": [' in documents["report.lhs-uniform"]
     assert '"states": [' in documents["stdout.classify-lhs-uniform"]

@@ -68,6 +68,22 @@ def local_mixture(rng, m: int, n_strategies: int, noise: float, d: int = 2) -> n
     return (1 - noise) * t + noise / d**2
 
 
+def bell_certifies(c: Correlation, cert: dict) -> bool:
+    """Whether ``cert`` separates ``c`` from the local polytope, checked off
+    the solver: every deterministic strategy (a row of ``strategy_table``)
+    scores at most ``local_bound`` on the functional ``bell``, the data more."""
+    table = strategy_table(c.n_parties, c.n_inputs, c.n_outputs)
+    bell = np.asarray(cert["bell"]).reshape(-1)
+    scores = table.reshape(table.shape[0], -1) @ bell
+    bound = cert["local_bound"]
+    return bool(scores.max() <= bound + 1e-9 and bell @ c.table.reshape(-1) > bound + 1e-9)
+
+
+def flipped(cert: dict) -> dict:
+    """The certificate of ``-y``: both the functional and its bound change sign."""
+    return {"bell": -cert["bell"], "local_bound": -cert["local_bound"]}
+
+
 class TestSimplex:
     def test_direct_feasible_system(self):
         a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
@@ -78,12 +94,30 @@ class TestSimplex:
         assert x.min() >= -1e-12
 
     def test_infeasible_system(self):
-        # x1 + x2 = 1 and x1 + x2 = 2 cannot both hold
+        # x1 + x2 = 1 and x1 + x2 = 2 cannot both hold; nor can x1 + x2 = -1
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        b = np.array([1.0, 2.0])
-        ok, _, opt = simplex_phase1(a, b)
-        assert not ok
-        assert opt > 0.5
+        for b in (np.array([1.0, 2.0]), np.array([-1.0, 1.0])):
+            res = simplex_phase1(a, b)
+            assert not res.feasible
+            assert res.optimum > 0.5
+            y = res.farkas  # a Farkas certificate, checked against A and b
+            assert y is not None
+            assert np.max(a.T @ y) <= 1e-9 and b @ y > 0.5
+
+    def test_verdict_reads_the_unperturbed_system(self):
+        """x1 + x2 = 1 and x1 = 1 hold only at x2 = 0; raised by the
+        perturbation, row 1 outgrows row 0 and the tableau optimum keeps an
+        artificial, yet the same basis solves the system itself."""
+        ok, x, opt = simplex_phase1(np.array([[1.0, 1.0], [1.0, 0.0]]), np.ones(2))
+        assert ok and opt == 0.0
+        assert np.array_equal(x, [1.0, 0.0])
+
+    def test_infeasibility_below_the_perturbation_is_no_verdict(self):
+        """2 x1 = 4 and 2 x1 + 2 x2 = 4 - 3e-8 need x2 < 0, by less than the
+        perturbation: the basis is infeasible and has no Farkas dual."""
+        res = simplex_phase1(np.array([[2.0, 0.0], [-2.0, -2.0]]), np.array([4.0, -4.0 + 3e-8]))
+        assert not res.feasible and not res.capped and res.farkas is None
+        assert "certifies neither side" in res.detail
 
     def test_pivot_cap(self):
         a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
@@ -114,19 +148,69 @@ class TestLhv:
         assert np.max(np.abs(recon - c.table)) < 1e-9
 
     def test_pr_infeasible(self):
-        rep = lhv_membership(Correlation(pr_table()))
+        c = Correlation(pr_table())
+        rep = lhv_membership(c)
         assert rep.status == "numerically-infeasible"
+        assert bell_certifies(c, rep.certificate)
+        assert not bell_certifies(c, flipped(rep.certificate))
 
     def test_singlet_infeasible(self, singlet_channel):
         c = correlations_from_channel(singlet_channel)
         assert chsh_value(c) > 2.0 + 1e-6  # certifying witness
         rep = lhv_membership(c)
         assert rep.status == "numerically-infeasible"
+        assert bell_certifies(c, rep.certificate)
+        assert not bell_certifies(c, flipped(rep.certificate))
 
     def test_iterations_are_pivots(self):
         rep = lhv_membership(Correlation(np.full((2, 2, 2, 2), 0.25)))
-        assert rep.iterations == 16
+        assert rep.iterations == 10
         assert lhv_membership(Correlation(pr_table())).iterations == 8
+
+    @pytest.mark.parametrize("v, m, d", [
+        (0.75, 2, 2), (0.72, 2, 2), (0.9, 5, 2), (0.51, 5, 2),
+        (0.501, 2, 2), (0.501, 3, 3), (0.501, 5, 2),
+    ])
+    def test_pr_mixture_above_one_half_has_a_bell_certificate(self, v, m, d):
+        c = Correlation(pr_mixture(v, m, d))
+        rep = lhv_membership(c)
+        assert rep.status == "numerically-infeasible"
+        assert bell_certifies(c, rep.certificate)
+        assert not bell_certifies(c, flipped(rep.certificate))
+
+    @pytest.mark.parametrize("m, d", [(2, 2), (3, 3), (5, 2)])
+    def test_pr_mixture_below_one_half_is_local(self, m, d):
+        assert lhv_membership(Correlation(pr_mixture(0.499, m, d))).feasible
+
+    def test_uniform_233_does_not_stall(self):
+        """Fully degenerate: Bland's rule takes over 100000 pivots here."""
+        rep = lhv_membership(Correlation(np.full((3, 3, 3, 3), 1.0 / 9.0)))
+        assert rep.feasible and rep.iterations <= 200
+
+    @pytest.mark.parametrize("m, d, k, seed", [
+        (3, 3, 1, 1), (3, 3, 3, 0), (3, 3, 3, 1), (5, 2, 1, 1), (5, 2, 3, 1),
+    ])
+    def test_sparse_local_points_do_not_stall(self, m, d, k, seed):
+        """Sparse mixtures on which Bland's rule takes over 100000 pivots."""
+        rng = np.random.default_rng(seed)
+        noise = rng.uniform(0.05, 0.25)
+        rep = lhv_membership(Correlation(local_mixture(rng, m, k, noise, d)))
+        assert rep.feasible and rep.iterations <= 400
+
+    def test_local_sweep_is_feasible(self):
+        """Every local mixture is feasible within 400 pivots, and its weights
+        rebuild the table."""
+        for m, d in ((2, 2), (3, 2), (3, 3), (5, 2), (2, 4), (4, 2)):
+            table = strategy_table(2, m, d)
+            for k, seed in product(range(1, 4), range(6)):
+                rng = np.random.default_rng(seed)
+                t = local_mixture(rng, m, k, [0.0, 0.1, 0.2, 0.3][seed % 4], d)
+                rep = lhv_membership(Correlation(t))
+                assert rep.feasible and rep.iterations <= 400, (m, d, k, seed)
+                w = rep.certificate["weights"]
+                assert w.min() >= 0.0
+                recon = np.tensordot(w, table, axes=(0, 0))
+                assert np.max(np.abs(recon - t)) <= 1e-12, (m, d, k, seed)
 
     def test_pivot_cap_is_inconclusive(self, monkeypatch):
         """A capped phase 1 has a nonzero artificial sum that proves nothing."""
@@ -135,7 +219,7 @@ class TestLhv:
         )
         for table in (pr_table(), np.full((2, 2, 2, 2), 0.25)):
             rep = lhv_membership(Correlation(table))
-            assert rep.status == "inconclusive"
+            assert rep.status == "inconclusive" and "pivot cap" in rep.detail
             assert rep.iterations == 3
             assert rep.residual > 0
 
@@ -712,6 +796,36 @@ class TestLpVsSdp:
             assert sdp.status != "feasible"
         if lp.status == "feasible":
             assert sdp.status != "numerically-infeasible"
+
+
+class TestLpVsHighs:
+    """An independent LP solver must agree with ``lhv_membership``."""
+
+    @staticmethod
+    def highs_feasible(t: np.ndarray) -> bool:
+        optimize = pytest.importorskip("scipy.optimize")
+        m, d = t.shape[2], t.shape[0]
+        table = strategy_table(2, m, d)
+        a_eq = np.vstack([table.reshape(table.shape[0], -1).T, np.ones(table.shape[0])])
+        b_eq = np.append(t.reshape(-1), 1.0)
+        res = optimize.linprog(np.zeros(a_eq.shape[1]), A_eq=a_eq, b_eq=b_eq, method="highs")
+        assert res.status in (0, 2), res.message  # solved or infeasible
+        return res.status == 0
+
+    def test_agrees_on_seeded_points(self, singlet_channel):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(2024)
+        singlet = correlations_from_channel(singlet_channel).table
+        points = [singlet, 0.6 * singlet + 0.1, 0.75 * singlet + 0.0625]
+        for m, d in ((2, 2), (3, 2), (3, 3), (5, 2)):
+            for _ in range(3):
+                points.append(pr_mixture(float(rng.uniform(0.2, 1.0)), m, d))
+                noise = float(rng.uniform(0.0, 0.3))
+                points.append(local_mixture(rng, m, int(rng.integers(1, 4)), noise, d))
+        for t in points:
+            rep = lhv_membership(Correlation(t))
+            assert rep.status != "inconclusive"
+            assert rep.feasible == self.highs_feasible(t)
 
 
 class TestTsirelsonWitness:
