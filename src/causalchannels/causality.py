@@ -5,7 +5,8 @@ inputs cannot influence A's outputs.  At the Choi level this is the
 factorization ``tr_{out(B)} Omega = Sigma_A (x) 1_{in(B)} / d_{in(B)}``,
 checked here in Frobenius norm for every bipartition.  The operational
 signalling witness (distinguishability of receiver marginals under different
-sender inputs) is kept as an independent sanity oracle.
+sender inputs, searched over an informationally complete set of product
+inputs) is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .channels import Channel
-from .linalg import (
-    basis_state,
-    kron_all,
-    partial_trace_dims,
-    product_residual,
-    projector,
-    trace_distance,
-)
+from .linalg import hermitize, partial_trace_dims, permute_subsystems_dims, product_residual
 
 CAUSALITY_TOL = 1e-7
 
@@ -124,15 +118,30 @@ def is_causal(ch: Channel, tol: float = CAUSALITY_TOL) -> CausalityReport:
     )
 
 
+def _informationally_complete(d: int) -> np.ndarray:
+    """The ``d**2`` pure states ``|i>``, ``(|i>+|j>)/sqrt2`` and
+    ``(|i>+i|j>)/sqrt2`` (``i < j``) as rows; their projectors span every
+    operator on ``C^d``."""
+    i, j = np.triu_indices(d, 1)
+    eye = np.eye(d, dtype=complex)
+    return np.concatenate(
+        [eye, (eye[i] + eye[j]) / np.sqrt(2), (eye[i] + 1j * eye[j]) / np.sqrt(2)]
+    )
+
+
 def signalling_witness(
     ch: Channel, sender: str, receivers: tuple[str, ...] | list[str]
 ) -> float:
     """Operational cross-check of the Choi condition.
 
-    Feeds each pair of basis states into the sender's input (maximally mixed
-    states elsewhere) and returns the largest trace distance between the
-    receiver-side output marginals.  Zero within tolerance iff the tested
-    inputs cannot signal.
+    Feeds every product of informationally complete pure states (``d**2``
+    per party, see :func:`_informationally_complete`) through the channel
+    in one batched call and returns the largest trace distance between the
+    receivers' output marginals for two sender states, the other inputs
+    fixed.  By linearity these products span every input operator, so the
+    witness is zero within rounding iff the sender cannot signal to the
+    receivers.  The batch holds ``prod(d_k**4)`` amplitudes over the party
+    input dimensions ``d_k``, which suits the small channels of a test.
     """
     labels = [p.label for p in ch.parties]
     if sender not in labels:
@@ -144,24 +153,24 @@ def signalling_witness(
     if sender in receivers:
         raise ValueError("sender cannot be its own receiver")
 
+    states = [_informationally_complete(d) for d in ch.dims_in]
+    joint = states[0]
+    for s in states[1:]:  # Kronecker products, first party slowest
+        joint = (joint[:, None, :, None] * s[None, :, None, :]).reshape(len(joint) * len(s), -1)
+    rho = joint[:, :, None] * joint[:, None, :].conj()
+    n = ch.n_parties
+    out, dims = ch.apply_to_subsystems(rho, ch.dims_in, tuple(range(n)))
+    recv = sorted(labels.index(lab) for lab in receivers)
+    rest = [k for k in range(n) if k not in recv]
+    d_r = int(np.prod([dims[k] for k in recv]))
+    d_x = int(np.prod([dims[k] for k in rest]))
+    t = permute_subsystems_dims(out, dims, recv + rest).reshape(len(rho), d_r, d_x, d_r, d_x)
+    marginals = np.einsum("naxbx->nab", t)
+    # axis 0 runs over the sender's states, axis 1 over the other parties' inputs
     s_k = labels.index(sender)
-    d_s = ch.parties[s_k].dim_in
-    recv_idx = [labels.index(lab) for lab in receivers]
-    out_dims = list(ch.dims_out)
-
-    def marginal(i: int) -> np.ndarray:
-        blocks = []
-        for k, p in enumerate(ch.parties):
-            if k == s_k:
-                blocks.append(projector(basis_state(d_s, i)))
-            else:
-                blocks.append(np.eye(p.dim_in, dtype=complex) / p.dim_in)
-        out = ch.apply(kron_all(blocks))
-        return partial_trace_dims(out, out_dims, recv_idx)
-
-    marginals = [marginal(i) for i in range(d_s)]
-    worst = 0.0
-    for i in range(d_s):
-        for j in range(i + 1, d_s):
-            worst = max(worst, trace_distance(marginals[i], marginals[j]))
-    return worst
+    marginals = np.moveaxis(
+        marginals.reshape([len(s) for s in states] + [d_r, d_r]), s_k, 0
+    ).reshape(len(states[s_k]), -1, d_r, d_r)
+    a, b = np.triu_indices(len(marginals), 1)
+    gaps = np.abs(np.linalg.eigvalsh(hermitize(marginals[a] - marginals[b]))).sum(axis=-1) / 2
+    return float(gaps.max(initial=0.0))

@@ -30,6 +30,7 @@ from .linalg import (
 )
 
 KRAUS_RANK_CUTOFF = 1e-10
+CHOI_DIM_CAP = 4096  # largest Choi dimension a document may declare (dense: 256 MiB)
 
 
 @dataclass(frozen=True)

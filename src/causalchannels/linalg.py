@@ -252,13 +252,6 @@ def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """0.5 * trace norm of (a - b) for Hermitian a, b."""
-    diff = _as_square(np.asarray(a) - np.asarray(b))
-    vals = np.linalg.eigvalsh(hermitize(diff))
-    return float(np.sum(np.abs(vals)) / 2)
-
-
 def hermitize(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     return (m + m.conj().swapaxes(-1, -2)) / 2

@@ -13,6 +13,16 @@ costs more than the document).  The text is exactly what
 complex arrays and :func:`canonical_json` formats each one in bulk.  Decoding
 converts a matrix with one ``np.array`` call and walks its entries only to
 name the first malformed one.
+
+A channel's ``choi`` has two spellings of the one field, chosen by a fixed
+rule: sparse, ``{"shape": [r, c], "entries": [[i, j, re, im], ...]}`` in
+row-major order, when fewer than a quarter of the entries are stored (an
+entry is stored unless both parts are bitwise ``+0.0``, so ``-0.0``
+survives), else the dense matrix.  The reader tells them apart by JSON type,
+checks the sparse shape against the parties before allocating, and requires
+integer in-range indices in strictly increasing order.  Channel and circuit
+documents whose Choi matrix would exceed ``CHOI_DIM_CAP`` are rejected
+before anything of that size exists.
 """
 
 from __future__ import annotations
@@ -26,7 +36,14 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .causality import CausalityReport
-from .channels import Channel, CircuitChannel, CircuitGate, CircuitParty, Party
+from .channels import (
+    CHOI_DIM_CAP,
+    Channel,
+    CircuitChannel,
+    CircuitGate,
+    CircuitParty,
+    Party,
+)
 from .linalg import ROLES, SystemLayout, Subsystem
 from .membership import FeasibilityReport
 from .scenarios import Assemblage, Correlation, DistributedMeasurement, Teleportage
@@ -53,7 +70,8 @@ def _scalar_text(value) -> str:
 
 def _write_array(a: np.ndarray, level: int, out: list[str]) -> None:
     """Array ``a`` as nested lists opened at ``level``; complex entries are
-    ``[re, im]`` pairs, real entries plain numbers.
+    ``[re, im]`` pairs, real entries plain numbers, object entries their
+    Python scalars.
 
     Every number is formatted in one pass, and the text between two numbers
     depends only on how many lists close there, so the separators are laid
@@ -64,7 +82,7 @@ def _write_array(a: np.ndarray, level: int, out: list[str]) -> None:
         _write(parts.tolist(), level, out)
         return
     numbers = parts.ravel().tolist()
-    fmt = float.__repr__ if np.isfinite(parts).all() else _scalar_text
+    fmt = float.__repr__ if parts.dtype.kind == "f" and np.isfinite(parts).all() else _scalar_text
     depth = level + parts.ndim  # nesting level of the numbers
     pad = ["\n" + "  " * k for k in range(depth + 1)]
     # the separator after a number that ends ``c`` lists closes and reopens them
@@ -118,7 +136,8 @@ def canonical_json(value) -> str:
     ``value`` is JSON data (dicts with string keys, lists, scalars) whose
     leaves may be ``ndarray``: a complex array is written as nested lists
     of ``[re, im]`` pairs (a matrix row-major), a real one as nested lists
-    of numbers, each formatted in bulk.
+    of numbers and an object array as nested lists of its Python scalars,
+    each formatted in bulk.
     """
     out: list[str] = []
     _write(value, 0, out)
@@ -284,6 +303,23 @@ def _checked(path: str, tol: float, build):
 
 # -- per-kind payloads ----------------------------------------------------------
 
+def _choi_field(choi: np.ndarray):
+    """The ``choi`` field: sparse when fewer than a quarter of the entries
+    are stored, else dense.  An entry is stored unless both of its parts
+    are bitwise ``+0.0``, so ``-0.0`` survives."""
+    choi = np.ascontiguousarray(choi, dtype=complex)
+    rows, cols = choi.shape
+    bits = choi.view(np.uint64)  # columns alternate real and imaginary parts
+    i, j = np.nonzero(bits[:, 0::2] | bits[:, 1::2])  # row-major order
+    if 4 * i.size >= rows * cols:
+        return choi
+    values = choi[i, j]
+    entries = np.empty((i.size, 4), dtype=object)  # Python ints and floats
+    entries[:, 0], entries[:, 1] = i.tolist(), j.tolist()
+    entries[:, 2], entries[:, 3] = values.real.tolist(), values.imag.tolist()
+    return {"shape": [rows, cols], "entries": entries}
+
+
 def _channel_payload(ch: Channel) -> dict:
     return {
         "parties": [
@@ -295,8 +331,74 @@ def _channel_payload(ch: Channel) -> dict:
             }
             for p in ch.parties
         ],
-        "choi": _matrix(ch.choi),
+        "choi": _choi_field(ch.choi),
     }
+
+
+def _bulk_entries(entries: list, d: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Flat indices and values of well-formed sparse ``entries`` of a ``d`` x
+    ``d`` matrix, else ``None``.
+
+    A few passes over the element types and one array conversion per column
+    pair; booleans, floats and out-of-range integers as indices, booleans as
+    parts, a flat index not above its predecessor and an integer part beyond
+    float range all give ``None``.
+    """
+    if not entries:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=complex)
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {4}:
+        return None
+    i, j, re, im = zip(*entries)
+    if set(map(type, i + j)) != {int} or not set(map(type, re + im)) <= {int, float}:
+        return None
+    if min(i + j) < 0 or max(i + j) >= d:
+        return None
+    flat = np.array(i) * d + np.array(j)
+    if (np.diff(flat) <= 0).any():
+        return None
+    try:
+        parts = np.array([re, im], dtype=float)
+    except OverflowError:
+        return None
+    return flat, np.ascontiguousarray(parts.T).view(complex)[:, 0]
+
+
+def _walk_entries(entries: list, d: int, path: str) -> tuple[list[int], list[complex]]:
+    """The flat indices and values of sparse ``entries``, read one by one;
+    the first malformed entry is reported at its path."""
+    flat, values = [], []
+    for k, entry in enumerate(entries):
+        sub = f"{path}[{k}]"
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise DocumentError(sub, "sparse entries must be [i, j, re, im]")
+        i, j, re, im = entry
+        if type(i) is not int or type(j) is not int:
+            raise DocumentError(sub, "indices must be integers")
+        if not (0 <= i < d and 0 <= j < d):
+            raise DocumentError(sub, f"index ({i}, {j}) out of range for shape [{d}, {d}]")
+        if flat and i * d + j <= flat[-1]:
+            raise DocumentError(sub, "entries must be in strictly increasing row-major order")
+        if not (_is_number(re) and _is_number(im)):
+            raise DocumentError(sub, "complex parts must be numbers")
+        try:
+            values.append(complex(re, im))
+        except OverflowError:  # an integer literal beyond float range
+            raise DocumentError(sub, "number out of float range") from None
+        flat.append(i * d + j)
+    return flat, values
+
+
+def _decode_sparse(value: dict, path: str, d: int) -> np.ndarray:
+    """The ``d`` x ``d`` matrix of a sparse ``{"shape", "entries"}`` object;
+    the shape is checked before anything is allocated."""
+    shape = _field(value, "shape", list, path)
+    if [type(n) for n in shape] != [int, int] or shape != [d, d]:
+        raise DocumentError(f"{path}.shape", f"expected [{d}, {d}]")
+    entries = _field(value, "entries", list, path)
+    flat, values = _bulk_entries(entries, d) or _walk_entries(entries, d, f"{path}.entries")
+    out = np.zeros(d * d, dtype=complex)
+    out[flat] = values
+    return out.reshape(d, d)
 
 
 def _channel_from_payload(payload: dict, path: str) -> Channel:
@@ -311,7 +413,16 @@ def _channel_from_payload(payload: dict, path: str) -> Channel:
                 _trusted(spec, sub),
             )
         )
-    choi = _decode_matrix(_field(payload, "choi", list, path), f"{path}.choi")
+    d = math.prod(p.dim_in * p.dim_out for p in parties)
+    if d > CHOI_DIM_CAP:
+        raise DocumentError(
+            f"{path}.parties", f"Choi dimension {d} exceeds the cap {CHOI_DIM_CAP}"
+        )
+    choi = _field(payload, "choi", object, path)
+    if isinstance(choi, dict):
+        choi = _decode_sparse(choi, f"{path}.choi", d)
+    else:
+        choi = _decode_matrix(_field(payload, "choi", list, path), f"{path}.choi")
     return _checked(f"{path}.choi", DOCUMENT_TOL, lambda: Channel(tuple(parties), choi))
 
 
@@ -361,7 +472,7 @@ def _circuit_from_payload(payload: dict, path: str) -> CircuitChannel:
             CircuitParty(
                 _field(spec, "label", str, sub),
                 _field(spec, "input_register", str, sub),
-                tuple(_field(spec, "output_registers", list, sub)),
+                _labels(spec, "output_registers", sub),
                 _trusted(spec, sub),
             )
         )
@@ -380,14 +491,32 @@ def _circuit_from_payload(payload: dict, path: str) -> CircuitChannel:
         gates.append(
             CircuitGate(
                 _decode_matrix(_field(spec, "unitary", list, sub), f"{sub}.unitary"),
-                tuple(_field(spec, "acts_on", list, sub)),
+                _labels(spec, "acts_on", sub),
             )
         )
+    _check_circuit_size(subs, parties, f"{path}.registers")
     return _checked(
         path,
         1e-8,
         lambda: CircuitChannel(SystemLayout(tuple(subs)), tuple(parties), prep, tuple(gates)),
     )
+
+
+def _check_circuit_size(subs: list[Subsystem], parties: list[CircuitParty], path: str) -> None:
+    """Reject a circuit whose compilation would exceed ``CHOI_DIM_CAP``: its
+    Choi matrix, or its initial pure state on every register plus one
+    reference per party input.  Unknown labels count as dimension 1; the
+    circuit's own validation names them."""
+    dim = {s.label: s.dim for s in subs}
+    d_in = math.prod(dim.get(p.input_register, 1) for p in parties)
+    d_out = math.prod(dim.get(r, 1) for p in parties for r in p.output_registers)
+    state = d_in * math.prod(s.dim for s in subs)
+    if d_in * d_out > CHOI_DIM_CAP:
+        raise DocumentError(path, f"Choi dimension {d_in * d_out} exceeds the cap {CHOI_DIM_CAP}")
+    if state > CHOI_DIM_CAP**2:
+        raise DocumentError(
+            path, f"initial state of {state} entries exceeds the cap {CHOI_DIM_CAP**2}"
+        )
 
 
 def _correlation_payload(c: Correlation) -> dict:
@@ -547,6 +676,15 @@ def _count(payload, name: str, path: str) -> int:
 def _input_dims(payload, path: str) -> tuple[int, ...]:
     dims = _field(payload, "input_dims", list, path)
     return tuple(_positive(v, f"{path}.input_dims[{k}]") for k, v in enumerate(dims))
+
+
+def _labels(spec, name: str, path: str) -> tuple[str, ...]:
+    """A list of register labels: strings, named one by one."""
+    labels = _field(spec, name, list, path)
+    for k, label in enumerate(labels):
+        if not isinstance(label, str):
+            raise DocumentError(f"{path}.{name}[{k}]", "expected str")
+    return tuple(labels)
 
 
 def _trusted(spec, path: str) -> bool:

@@ -7,7 +7,8 @@ format was defined.  Any encoder change that moves a single byte of a
 gallery document, of an object extracted from one, of a report or of the
 ``pr-box`` and ``pq-steering-pr`` demo output fails here.  Documents are
 written through the CLI, so decoding the channel documents for ``extract``
-is exercised too.
+is exercised too.  Each channel document's dense spelling is pinned as well,
+and must parse to the same bits as the text the writer chose.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
 
 from causalchannels import Assemblage, cli, parse, serialize
 from causalchannels.membership import lhs_membership, lhv_membership
+from causalchannels.serialize import canonical_json
 
 GALLERY = ("pr-box", "singlet", "pq-steering-pr", "pq-steering-alpha")
 EXTRACTS = {
@@ -33,14 +36,14 @@ EXTRACTS = {
 
 GOLDEN = {
     "pq-steering-alpha.assemblage": "1d310ee2e6013fffaa9caddcf8bda10cac8b008f722caa5175a39fcf8faaf93f",
-    "pq-steering-alpha.choi": "5cb5c89fb0d09a9c891bb41e7cb24f3dd3cfe1f0db99335f8e5f22cb9a26bf0a",
+    "pq-steering-alpha.choi": "42f7f6d521ec2d35bca6e227aea8c3f641d4f0a0640cdc7d1e0513516ff1ca8b",
     "pq-steering-alpha.circuit": "5c98c887539f703d67ad5e84c8e4702a7f2b01d1e2668769ac9551f3a086c044",
     "pq-steering-alpha.teleportage": "be3a0c02964c77d82aaf0ee389ee2b17831f59638f4e08aacf2153998d077dfc",
     "pq-steering-pr.assemblage": "daf20cb702dd5215e98f464e9f8d4b617f7f6131286980ff8ddca0a1e723a794",
-    "pq-steering-pr.choi": "76bacee51614a591a838eb25cb284b4fd3e6a6ed6f344952910aa8c4c59de002",
+    "pq-steering-pr.choi": "c27555f6f0d87c3993c43f32fc48d355202978e1a496efeb703f92e81a2f3808",
     "pq-steering-pr.circuit": "7e6523655ff81f385e0f8b0a52bb6d216f413e5efe4b19fbba9c30767026b5d7",
     "pq-steering-pr.teleportage": "095ea3ed03d75807e654dabe67467b0d3bf740ae6869316e1eff42c640fb7da7",
-    "pr-box.choi": "323838115d0bba1ff5e57e97353ab738949c86a6fda2e757d7688cf85678e27d",
+    "pr-box.choi": "f0711f37bdfa1323bcf110de8edd1c50b7472a82b5ee6b7e6bd8e6ed717754cd",
     "pr-box.circuit": "7d1355d001a02ea88e1f46559e083473e37f6d748ee2b6946d393e8308826717",
     "pr-box.correlations": "191e4bf913f1e47385a741024a351147baaa7d47b495482c3a4d53bd28f57d5c",
     "pr-box.measurement": "1f3562ff537a8bac49e7044038586ec6ff0e53997a566d5e74d3100621db6322",
@@ -58,6 +61,18 @@ GOLDEN = {
     "stdout.demo-pr-box-json": "39c2a71f237ca8b0ff75901cf75839559e5d4f538af122c0ef63cde0e94d6cdb",
     "stdout.verify-causal-pq-steering-pr": "2a830f91318d4e4f5d2e05511016e94cf272ec32bdbb3785927c295adc7f1449",
     "uniform.assemblage": "b956cedce58dc0499b9092666202d8c36143bca7c3197242983c451156194a35",
+}
+
+
+# SHA-256 of each gallery Choi document in the dense spelling, every entry
+# listed, which version-1 readers must keep accepting.  The writer picks it
+# for the singlet only; for the other three both spellings must parse to the
+# same bits.
+DENSE_CHOI = {
+    "pq-steering-alpha": "5cb5c89fb0d09a9c891bb41e7cb24f3dd3cfe1f0db99335f8e5f22cb9a26bf0a",
+    "pq-steering-pr": "76bacee51614a591a838eb25cb284b4fd3e6a6ed6f344952910aa8c4c59de002",
+    "pr-box": "323838115d0bba1ff5e57e97353ab738949c86a6fda2e757d7688cf85678e27d",
+    "singlet": GOLDEN["singlet.choi"],
 }
 
 
@@ -132,3 +147,16 @@ def test_certificate_report_carries_matrices(documents):
     assert '"bell": [' in documents["report.lhv-pr-box"]
     assert '"states": [' in documents["report.lhs-uniform"]
     assert '"states": [' in documents["stdout.classify-lhs-uniform"]
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_dense_and_sparse_texts_agree(documents, name):
+    text = documents[f"{name}.choi"]
+    doc = json.loads(text)
+    doc["payload"]["choi"] = parse(text).choi
+    dense = canonical_json(doc) + "\n"
+    assert hashlib.sha256(dense.encode("utf-8")).hexdigest() == DENSE_CHOI[name]
+    assert (name == "singlet") == (dense == text)
+    bits = [parse(t).choi.view(np.uint64) for t in (text, dense)]
+    assert np.array_equal(*bits)
+    assert serialize(parse(dense)) + "\n" == text

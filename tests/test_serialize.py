@@ -404,6 +404,14 @@ ERROR_CASES = {
         _circuit_doc, _set("registers", 0, "role", 5), "$.payload.registers[0].role",
         "expected str",
     ),
+    "output-register-list": (
+        _circuit_doc, _set("parties", 0, "output_registers", [["eA"]]),
+        "$.payload.parties[0].output_registers[0]", "expected str",
+    ),
+    "gate-register-number": (
+        _circuit_doc, _set("gates", 0, "acts_on", 1, 7), "$.payload.gates[0].acts_on[1]",
+        "expected str",
+    ),
     "register-role-unknown": (
         _circuit_doc, _set("registers", 2, "role", "foo"), "$.payload.registers[2].role",
         "unknown role 'foo'",
@@ -481,6 +489,136 @@ ERROR_CASES.update({
         ),
         "$.payload.elements['a=000,000']",
         "matrix shape (1, 1) != expected (9000000, 9000000)",
+    ),
+})
+
+
+def _sparse_doc() -> dict:
+    """The PR-box channel: 8 stored entries of a 16 x 16 Choi, written sparse."""
+    from causalchannels import pr_box_channel
+
+    doc = json.loads(serialize(compile_circuit(pr_box_channel())))
+    entries = doc["payload"]["choi"]["entries"]
+    assert [e[:2] for e in entries[:4]] == [[0, 0], [2, 2], [5, 5], [7, 7]]
+    return doc
+
+
+def _entry(k, *value):
+    """Mutation setting sparse entry ``k`` (or its part ``value[0]``) to ``value[-1]``."""
+    return _set("choi", "entries", k, *value)
+
+
+def _swap_entries(a, b):
+    def mutate(doc):
+        entries = doc["payload"]["choi"]["entries"]
+        entries[a], entries[b] = entries[b], entries[a]
+
+    return mutate
+
+
+_ENTRIES = "$.payload.choi.entries"
+
+
+def _over_cap_circuit_doc() -> dict:
+    """300 bytes declaring a 3000000-dimensional input register."""
+    return {
+        "kind": "circuit",
+        "version": "1",
+        "payload": {
+            "registers": [
+                {"label": "A", "dim": 3000000, "role": "untrusted-in"},
+                {"label": "e", "dim": 1},
+            ],
+            "parties": [{"label": "A", "input_register": "A", "output_registers": ["e"]}],
+            "ancilla_prep": {"form": "vector", "entries": [[1.0, 0.0]]},
+            "gates": [],
+        },
+    }
+
+
+def _over_cap_channel_doc() -> dict:
+    """An empty sparse Choi over a 3000000-dimensional input."""
+    return {
+        "kind": "channel",
+        "version": "1",
+        "payload": {
+            "parties": [{"label": "A", "dim_in": 3000000, "dim_out": 1}],
+            "choi": {"shape": [3000000, 3000000], "entries": []},
+        },
+    }
+
+
+# Sparse Choi documents: each reader rule names the first offending entry (or
+# the shape), and documents over ``CHOI_DIM_CAP`` are refused before anything
+# of the declared size is allocated.
+ERROR_CASES.update({
+    "sparse-shape-mismatch": (
+        _sparse_doc, _set("choi", "shape", [16, 15]), "$.payload.choi.shape",
+        "expected [16, 16]",
+    ),
+    "sparse-shape-floats": (
+        _sparse_doc, _set("choi", "shape", [16.0, 16.0]), "$.payload.choi.shape",
+        "expected [16, 16]",
+    ),
+    "sparse-shape-missing": (
+        _sparse_doc, lambda d: d["payload"]["choi"].pop("shape"), "$.payload.choi",
+        "missing field 'shape'",
+    ),
+    "sparse-entries-not-list": (
+        _sparse_doc, _set("choi", "entries", "x"), _ENTRIES, "expected list",
+    ),
+    "sparse-index-out-of-range": (
+        _sparse_doc, _entry(2, 1, 16), f"{_ENTRIES}[2]",
+        "index (5, 16) out of range for shape [16, 16]",
+    ),
+    "sparse-index-negative": (
+        _sparse_doc, _entry(0, 0, -1), f"{_ENTRIES}[0]",
+        "index (-1, 0) out of range for shape [16, 16]",
+    ),
+    "sparse-index-bool": (
+        _sparse_doc, _entry(0, 1, False), f"{_ENTRIES}[0]", "indices must be integers",
+    ),
+    "sparse-index-float": (
+        _sparse_doc, _entry(1, 0, 2.0), f"{_ENTRIES}[1]", "indices must be integers",
+    ),
+    "sparse-unsorted": (
+        _sparse_doc, _swap_entries(2, 3), f"{_ENTRIES}[3]",
+        "entries must be in strictly increasing row-major order",
+    ),
+    "sparse-duplicate": (
+        _sparse_doc, _entry(2, [2, 2, 0.125, 0.0]), f"{_ENTRIES}[2]",
+        "entries must be in strictly increasing row-major order",
+    ),
+    "sparse-short-entry": (
+        _sparse_doc, _entry(3, [7, 7, 0.125]), f"{_ENTRIES}[3]",
+        "sparse entries must be [i, j, re, im]",
+    ),
+    "sparse-entry-not-list": (
+        _sparse_doc, _entry(1, 0.125), f"{_ENTRIES}[1]", "sparse entries must be [i, j, re, im]",
+    ),
+    "sparse-string-part": (
+        _sparse_doc, _entry(1, 2, "0.125"), f"{_ENTRIES}[1]", "complex parts must be numbers",
+    ),
+    "sparse-bool-part": (
+        _sparse_doc, _entry(1, 3, True), f"{_ENTRIES}[1]", "complex parts must be numbers",
+    ),
+    "sparse-nan-part": (
+        _sparse_doc, _entry(0, 3, float("nan")), "$.payload.choi", "choi entries must be finite",
+    ),
+    "sparse-huge-integer": (
+        _sparse_doc, _entry(0, 2, 10**400), f"{_ENTRIES}[0]", "number out of float range",
+    ),
+    "channel-over-cap": (
+        _over_cap_channel_doc, lambda d: None, "$.payload.parties",
+        "Choi dimension 3000000 exceeds the cap 4096",
+    ),
+    "circuit-over-cap": (
+        _over_cap_circuit_doc, lambda d: None, "$.payload.registers",
+        "Choi dimension 3000000 exceeds the cap 4096",
+    ),
+    "circuit-state-over-cap": (
+        _circuit_doc, lambda d: d["payload"]["registers"].append({"label": "z", "dim": 2**21}),
+        "$.payload.registers", "initial state of 134217728 entries exceeds the cap 16777216",
     ),
 })
 
@@ -657,6 +795,59 @@ class TestRoundTripProperty:
     def test_serialize_parse_serialize(self, kind, seed):
         first = serialize(_sampled_object(kind, seed))
         assert serialize(parse(first)) == first
+
+
+def _sparse_channel(rng: np.random.Generator, dims: tuple[int, ...], trusted: bool) -> Channel:
+    """A mixture of one to three phased permutation channels: at most
+    ``3 d_in**2`` stored entries of ``d_in**4``, then sprinkled."""
+    from causalchannels import Party
+    from causalchannels.channels import channel_from_unitary
+
+    parties = [Party(f"p{k}", d, d, trusted and k == len(dims) - 1) for k, d in enumerate(dims)]
+    d_in = int(np.prod(dims))
+    weights = rng.dirichlet(np.ones(int(rng.integers(1, 4))))
+    choi = 0
+    for w in weights:
+        u = np.eye(d_in)[rng.permutation(d_in)] * np.exp(2j * np.pi * rng.random(d_in))
+        choi = choi + w * channel_from_unitary(u, parties).choi
+    return Channel(parties, _sprinkle(rng, choi))
+
+
+class TestSparseChoi:
+    """Sparse Choi texts: the writer's rule, and a bitwise round trip that
+    keeps every ``-0.0``, subnormal and tiny part the sampler plants."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_is_bitwise(self, dims, trusted, seed):
+        ch = _sparse_channel(np.random.default_rng(seed), dims, trusted)
+        text = serialize(ch)
+        choi = json.loads(text)["payload"]["choi"]
+        assert isinstance(choi, dict)
+        stored = np.signbit(ch.choi.real) | np.signbit(ch.choi.imag) | (ch.choi != 0)
+        assert len(choi["entries"]) == np.count_nonzero(stored)
+        back = parse(text)
+        assert np.array_equal(back.choi.view(np.uint64), ch.choi.view(np.uint64))
+        assert serialize(back) == text
+
+    @pytest.mark.parametrize(
+        "dims, form", [((2,), list), ((3,), dict), ((2, 2), dict)], ids=["2", "3", "2x2"]
+    )
+    def test_identity_form(self, dims, form):
+        """The identity channel stores ``d_in**2`` of ``d_in**4`` entries: dense
+        at a quarter (``d_in = 2``), sparse below it."""
+        choi = json.loads(serialize(identity_channel(dims)))["payload"]["choi"]
+        assert isinstance(choi, form)
+
+    def test_integer_parts_accepted(self):
+        doc = _sparse_doc()
+        choi = parse(json.dumps(doc)).choi
+        doc["payload"]["choi"]["entries"][0][3] = 0
+        assert np.array_equal(parse(json.dumps(doc)).choi.view(np.uint64), choi.view(np.uint64))
 
 
 class TestTableKeyPredicate:
