@@ -11,6 +11,7 @@ between the two layouts, and each (read-only) Choi is regrouped once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,8 +55,10 @@ class Channel:
             raise ValueError("at most one trusted party is supported")
         if trusted and not parties[-1].trusted:
             raise ValueError("the trusted party must be last")
-        choi = np.array(choi, dtype=complex)
-        choi.flags.writeable = False
+        choi = np.asarray(choi, dtype=complex)
+        if choi.flags.writeable or not choi.flags.c_contiguous:
+            choi = np.array(choi)  # a private read-only copy; a read-only array is kept
+            choi.flags.writeable = False
         self.parties = parties
         self._choi = choi
         if choi.shape != (self.total_dim, self.total_dim):
@@ -137,24 +140,28 @@ class Channel:
 
     # -- validation -----------------------------------------------------------
 
-    def validity_residuals(self) -> tuple[float, float]:
-        """(negative-eigenvalue magnitude, trace-preservation residual)."""
-        neg = max(0.0, -min_eig(self.choi))
+    def _tp_residual(self) -> float:
         n = self.n_parties
         reduced = partial_trace_dims(
             self.choi, self.factor_dims, keep=[2 * k for k in range(n)]
         )
-        tp = frobenius(reduced - np.eye(self.dim_in) / self.dim_in)
-        return neg, tp
+        return frobenius(reduced - np.eye(self.dim_in) / self.dim_in)
+
+    def validity_residuals(self) -> tuple[float, float]:
+        """(negative-eigenvalue magnitude, trace-preservation residual)."""
+        return max(0.0, -min_eig(self.choi)), self._tp_residual()
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
+        """Finite entries, then trace preservation (linear in the Choi size),
+        then positivity (an eigendecomposition)."""
         if not np.isfinite(self.choi).all():
             raise ValueError("choi entries must be finite")
-        neg, tp = self.validity_residuals()
-        if neg > tol:
-            raise ValueError(f"choi is not PSD: min eigenvalue -{neg:.3e}")
+        tp = self._tp_residual()
         if tp > tol:
             raise ValueError(f"channel is not trace preserving: residual {tp:.3e}")
+        neg = max(0.0, -min_eig(self.choi))
+        if neg > tol:
+            raise ValueError(f"choi is not PSD: min eigenvalue -{neg:.3e}")
 
     # -- action ---------------------------------------------------------------
 
@@ -443,6 +450,24 @@ def _prep_branches(prep: np.ndarray) -> list[tuple[float, np.ndarray]]:
         if lam > 1e-12:
             branches.append((float(lam), vec))
     return branches
+
+
+def check_choi_dim(d: int) -> None:
+    """Refuse a Choi dimension above ``CHOI_DIM_CAP``."""
+    if d > CHOI_DIM_CAP:
+        raise ValueError(f"Choi dimension {d} exceeds the cap {CHOI_DIM_CAP}")
+
+
+def check_compile_size(circ: CircuitChannel) -> None:
+    """Refuse a valid circuit whose compilation would exceed ``CHOI_DIM_CAP``:
+    its Choi matrix, or the initial pure state :func:`_initial_tensor` builds
+    on one reference per party input and every register."""
+    parties = circ.to_channel_parties()
+    d_in = math.prod(p.dim_in for p in parties)
+    check_choi_dim(d_in * math.prod(p.dim_out for p in parties))
+    state = d_in * circ.registers.dim
+    if state > CHOI_DIM_CAP**2:
+        raise ValueError(f"initial state of {state} entries exceeds the cap {CHOI_DIM_CAP**2}")
 
 
 def _initial_tensor(

@@ -19,10 +19,11 @@ rule: sparse, ``{"shape": [r, c], "entries": [[i, j, re, im], ...]}`` in
 row-major order, when fewer than a quarter of the entries are stored (an
 entry is stored unless both parts are bitwise ``+0.0``, so ``-0.0``
 survives), else the dense matrix.  The reader tells them apart by JSON type,
-checks the sparse shape against the parties before allocating, and requires
-integer in-range indices in strictly increasing order.  Channel and circuit
-documents whose Choi matrix would exceed ``CHOI_DIM_CAP`` are rejected
-before anything of that size exists.
+checks the sparse shape against the parties before allocating, and reads
+the entries one by one, requiring integer in-range indices in strictly
+increasing order.  Channel and circuit documents whose Choi matrix would
+exceed ``channels.CHOI_DIM_CAP`` are rejected (by ``channels.check_choi_dim``
+and ``channels.check_compile_size``) before anything of that size exists.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ import numpy as np
 
 from .causality import CausalityReport
 from .channels import (
-    CHOI_DIM_CAP,
     Channel,
     CircuitChannel,
     CircuitGate,
     CircuitParty,
     Party,
+    check_choi_dim,
+    check_compile_size,
 )
 from .linalg import ROLES, SystemLayout, Subsystem
 from .membership import FeasibilityReport
@@ -301,6 +303,14 @@ def _checked(path: str, tol: float, build):
     return obj
 
 
+def _within_cap(path: str, check, *args) -> None:
+    """Run the size ``check``; a ``ValueError`` is reported at ``path``."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise DocumentError(path, str(exc)) from None
+
+
 # -- per-kind payloads ----------------------------------------------------------
 
 def _choi_field(choi: np.ndarray):
@@ -335,37 +345,9 @@ def _channel_payload(ch: Channel) -> dict:
     }
 
 
-def _bulk_entries(entries: list, d: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Flat indices and values of well-formed sparse ``entries`` of a ``d`` x
-    ``d`` matrix, else ``None``.
-
-    A few passes over the element types and one array conversion per column
-    pair; booleans, floats and out-of-range integers as indices, booleans as
-    parts, a flat index not above its predecessor and an integer part beyond
-    float range all give ``None``.
-    """
-    if not entries:
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=complex)
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {4}:
-        return None
-    i, j, re, im = zip(*entries)
-    if set(map(type, i + j)) != {int} or not set(map(type, re + im)) <= {int, float}:
-        return None
-    if min(i + j) < 0 or max(i + j) >= d:
-        return None
-    flat = np.array(i) * d + np.array(j)
-    if (np.diff(flat) <= 0).any():
-        return None
-    try:
-        parts = np.array([re, im], dtype=float)
-    except OverflowError:
-        return None
-    return flat, np.ascontiguousarray(parts.T).view(complex)[:, 0]
-
-
-def _walk_entries(entries: list, d: int, path: str) -> tuple[list[int], list[complex]]:
-    """The flat indices and values of sparse ``entries``, read one by one;
-    the first malformed entry is reported at its path."""
+def _read_entries(entries: list, d: int, path: str) -> tuple[list[int], list[complex]]:
+    """The flat indices and values of the sparse ``entries`` of a ``d`` x
+    ``d`` matrix; the first malformed entry is reported at its path."""
     flat, values = [], []
     for k, entry in enumerate(entries):
         sub = f"{path}[{k}]"
@@ -395,9 +377,10 @@ def _decode_sparse(value: dict, path: str, d: int) -> np.ndarray:
     if [type(n) for n in shape] != [int, int] or shape != [d, d]:
         raise DocumentError(f"{path}.shape", f"expected [{d}, {d}]")
     entries = _field(value, "entries", list, path)
-    flat, values = _bulk_entries(entries, d) or _walk_entries(entries, d, f"{path}.entries")
+    flat, values = _read_entries(entries, d, f"{path}.entries")
     out = np.zeros(d * d, dtype=complex)
     out[flat] = values
+    out.flags.writeable = False  # so the channel keeps it without a copy
     return out.reshape(d, d)
 
 
@@ -414,10 +397,7 @@ def _channel_from_payload(payload: dict, path: str) -> Channel:
             )
         )
     d = math.prod(p.dim_in * p.dim_out for p in parties)
-    if d > CHOI_DIM_CAP:
-        raise DocumentError(
-            f"{path}.parties", f"Choi dimension {d} exceeds the cap {CHOI_DIM_CAP}"
-        )
+    _within_cap(f"{path}.parties", check_choi_dim, d)
     choi = _field(payload, "choi", object, path)
     if isinstance(choi, dict):
         choi = _decode_sparse(choi, f"{path}.choi", d)
@@ -494,29 +474,13 @@ def _circuit_from_payload(payload: dict, path: str) -> CircuitChannel:
                 _labels(spec, "acts_on", sub),
             )
         )
-    _check_circuit_size(subs, parties, f"{path}.registers")
-    return _checked(
+    circ = _checked(
         path,
         1e-8,
         lambda: CircuitChannel(SystemLayout(tuple(subs)), tuple(parties), prep, tuple(gates)),
     )
-
-
-def _check_circuit_size(subs: list[Subsystem], parties: list[CircuitParty], path: str) -> None:
-    """Reject a circuit whose compilation would exceed ``CHOI_DIM_CAP``: its
-    Choi matrix, or its initial pure state on every register plus one
-    reference per party input.  Unknown labels count as dimension 1; the
-    circuit's own validation names them."""
-    dim = {s.label: s.dim for s in subs}
-    d_in = math.prod(dim.get(p.input_register, 1) for p in parties)
-    d_out = math.prod(dim.get(r, 1) for p in parties for r in p.output_registers)
-    state = d_in * math.prod(s.dim for s in subs)
-    if d_in * d_out > CHOI_DIM_CAP:
-        raise DocumentError(path, f"Choi dimension {d_in * d_out} exceeds the cap {CHOI_DIM_CAP}")
-    if state > CHOI_DIM_CAP**2:
-        raise DocumentError(
-            path, f"initial state of {state} entries exceeds the cap {CHOI_DIM_CAP**2}"
-        )
+    _within_cap(f"{path}.registers", check_compile_size, circ)
+    return circ
 
 
 def _correlation_payload(c: Correlation) -> dict:

@@ -258,7 +258,7 @@ class TestGroupedLayout:
 
 class TestChannelValidation:
     def test_non_psd_choi_rejected(self):
-        bad = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)
+        bad = np.diag([0.75, -0.25, 0.75, -0.25]).astype(complex)  # trace preserving
         ch = Channel((Party("A", 2, 2),), bad)
         with pytest.raises(ValueError, match="PSD"):
             ch.validate()
@@ -268,6 +268,20 @@ class TestChannelValidation:
         ch = Channel((Party("A", 2, 2),), bad)
         with pytest.raises(ValueError, match="trace preserving"):
             ch.validate()
+
+    def test_trace_preservation_checked_before_positivity(self):
+        bad = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)  # neither
+        ch = Channel((Party("A", 2, 2),), bad)
+        with pytest.raises(ValueError, match="trace preserving"):
+            ch.validate()
+
+    def test_read_only_choi_kept_writeable_choi_copied(self):
+        choi = identity_channel((2,)).choi.copy()
+        ch = Channel((Party("A", 2, 2),), choi)
+        choi[0, 0] = 7.0
+        assert ch.choi[0, 0] == 0.5 and not ch.choi.flags.writeable
+        frozen = ch.choi
+        assert Channel(ch.parties, frozen).choi is frozen
 
     def test_trusted_party_must_be_last(self):
         with pytest.raises(ValueError, match="last"):

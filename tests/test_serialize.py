@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+import time
 
 import numpy as np
 import pytest
@@ -85,8 +87,10 @@ class TestRoundTrips:
 class TestValidation:
     def test_non_psd_choi_names_invariant(self):
         doc = json.loads(serialize(identity_channel((2,))))
-        # corrupt the Choi state: flip an eigenvalue's worth of weight
+        # corrupt the Choi state: flip an eigenvalue's worth of weight, moving it
+        # within input 0's block so the state stays trace preserving
         doc["payload"]["choi"][0][0] = [-0.5, 0.0]
+        doc["payload"]["choi"][1][1] = [1.0, 0.0]
         with pytest.raises(DocumentError, match="PSD"):
             parse(json.dumps(doc))
 
@@ -536,6 +540,37 @@ def _over_cap_circuit_doc() -> dict:
     }
 
 
+def _state_over_cap_circuit_doc() -> dict:
+    """A 4096-dimensional Choi whose initial state, with a qubit ancilla,
+    has 2 * 4096**2 entries."""
+    return {
+        "kind": "circuit",
+        "version": "1",
+        "payload": {
+            "registers": [
+                {"label": "A", "dim": 4096, "role": "untrusted-in"},
+                {"label": "e", "dim": 1},
+                {"label": "z", "dim": 2},
+            ],
+            "parties": [{"label": "A", "input_register": "A", "output_registers": ["e"]}],
+            "ancilla_prep": {"form": "vector", "entries": [[1.0, 0.0], [0.0, 0.0]]},
+            "gates": [],
+        },
+    }
+
+
+def _empty_at_cap_channel_doc() -> dict:
+    """An empty sparse Choi at the cap: 154 bytes declaring a 4096 x 4096 matrix."""
+    return {
+        "kind": "channel",
+        "version": "1",
+        "payload": {
+            "parties": [{"label": "A", "dim_in": 64, "dim_out": 64}],
+            "choi": {"shape": [4096, 4096], "entries": []},
+        },
+    }
+
+
 def _over_cap_channel_doc() -> dict:
     """An empty sparse Choi over a 3000000-dimensional input."""
     return {
@@ -617,10 +652,24 @@ ERROR_CASES.update({
         "Choi dimension 3000000 exceeds the cap 4096",
     ),
     "circuit-state-over-cap": (
-        _circuit_doc, lambda d: d["payload"]["registers"].append({"label": "z", "dim": 2**21}),
-        "$.payload.registers", "initial state of 134217728 entries exceeds the cap 16777216",
+        _state_over_cap_circuit_doc, lambda d: None, "$.payload.registers",
+        "initial state of 33554432 entries exceeds the cap 16777216",
+    ),
+    "sparse-empty-at-cap": (
+        _empty_at_cap_channel_doc, lambda d: None, "$.payload.choi",
+        "channel is not trace preserving: residual 1.250e-01",
     ),
 })
+
+# Rows whose declared sizes would cost far more than their text, and the
+# seconds each may take to be refused: the cap and the trace-preservation
+# check (which runs before the eigendecomposition) come first.
+SIZE_BOUNDS = {
+    "channel-over-cap": 0.05,
+    "circuit-over-cap": 0.05,
+    "circuit-state-over-cap": 0.05,
+    "sparse-empty-at-cap": 1.0,
+}
 
 
 class TestErrorPaths:
@@ -633,6 +682,17 @@ class TestErrorPaths:
             parse(json.dumps(doc))
         assert info.value.path == path
         assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("case", sorted(SIZE_BOUNDS))
+    def test_size_refused_before_work(self, case):
+        make, mutate, path, _ = ERROR_CASES[case]
+        doc = make()
+        mutate(doc)
+        text = json.dumps(doc)
+        start = time.perf_counter()
+        with pytest.raises(DocumentError, match=re.escape(path)):
+            parse(text)
+        assert time.perf_counter() - start < SIZE_BOUNDS[case]
 
     def test_in_range_integers_accepted(self):
         doc = _choi_doc()
